@@ -18,11 +18,11 @@ namespace {
 
 using namespace dominosyn;
 
-/// Shared BDD size, or 0 if the ordering blows the node budget.
+/// Shared BDD size, or 0 if the ordering blows the work budget.
 std::size_t shared_size(const Network& net, const VariableOrder& order,
                         const std::vector<NodeId>& roots) {
   try {
-    auto bdds = build_bdds(net, order, /*node_limit=*/1u << 21);
+    auto bdds = build_bdds(net, order, /*work_budget=*/1u << 22);
     std::vector<Bdd> funcs;
     for (const NodeId id : roots) funcs.push_back(bdds.node_funcs[id]);
     return bdds.mgr->dag_size_shared(funcs);

@@ -92,15 +92,18 @@ void BM_GarbageCollection(benchmark::State& state) {
 }
 BENCHMARK(BM_GarbageCollection);
 
-void BM_ApproxProbabilities(benchmark::State& state) {
+void BM_SampledProbabilities(benchmark::State& state) {
   const Network net = sized_network(static_cast<std::size_t>(state.range(0)));
   const std::vector<double> pi_probs(net.num_pis(), 0.5);
   for (auto _ : state) {
-    const auto probs = approx_signal_probabilities(net, pi_probs);
-    benchmark::DoNotOptimize(probs.data());
+    // A zero work budget trips the exact attempt at once: this times the
+    // sampled fallback.
+    const auto probs = network_probabilities(
+        net, pi_probs, {}, {}, OrderingKind::kReverseTopological, 0);
+    benchmark::DoNotOptimize(probs.node_probs.data());
   }
 }
-BENCHMARK(BM_ApproxProbabilities)->Arg(300)->Arg(800);
+BENCHMARK(BM_SampledProbabilities)->Arg(300)->Arg(800);
 
 }  // namespace
 

@@ -5,7 +5,9 @@
 /// stand-in circuits.  Columns mirror the paper: sizes are mapped
 /// standard-cell counts, power is the simulated per-cycle switched
 /// capacitance (PowerMill substitute), and the last two columns are the
-/// area penalty and power saving of MP relative to MA.
+/// area penalty and power saving of MP relative to MA.  The Prob column
+/// says whether a circuit's signal probabilities are exact (BDD) or sampled,
+/// with the sample's 95 % confidence half-width.
 ///
 /// The whole sweep is one run_flow_batch call: both modes of a circuit share
 /// one FlowSession (synthesis, BDD probabilities and the EvalContext are
@@ -63,7 +65,7 @@ int main(int argc, char** argv) {
 
   TextTable table;
   table.header({"Ckt", "Desc.", "#PIs", "#POs", "MA Size", "MA Pwr", "MP Size",
-                "MP Pwr", "%AreaPen", "%PwrSav", "sec"});
+                "MP Pwr", "%AreaPen", "%PwrSav", "Prob", "sec"});
 
   double sum_area_pen = 0.0, sum_pwr_sav = 0.0;
   std::size_t rows = 0;
@@ -86,6 +88,8 @@ int main(int argc, char** argv) {
                std::to_string(spec.num_pos), std::to_string(ma.cells),
                fmt(ma.sim_power, 2), std::to_string(mp.cells),
                fmt(mp.sim_power, 2), fmt_pct(area_pen), fmt_pct(pwr_sav),
+               mp.used_exact_bdd ? std::string("exact")
+                                 : "sampled +-" + fmt(mp.prob_halfwidth, 4),
                fmt(ma.seconds + mp.seconds, 1)});
     if (!ma.equivalence_ok || !mp.equivalence_ok) {
       std::cerr << "EQUIVALENCE FAILURE on " << spec.name << "\n";
@@ -93,7 +97,7 @@ int main(int argc, char** argv) {
     }
   }
   table.row({"Average", "", "", "", "", "", "", "",
-             fmt_pct(sum_area_pen / rows), fmt_pct(sum_pwr_sav / rows), ""});
+             fmt_pct(sum_area_pen / rows), fmt_pct(sum_pwr_sav / rows), "", ""});
   table.print(std::cout);
 
   std::cout << "\nPaper (Table 1): average area penalty 11.8%, average power "

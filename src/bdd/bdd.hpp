@@ -15,6 +15,7 @@
 
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <stdexcept>
@@ -67,18 +68,30 @@ class Bdd {
   BddIndex index_ = kBddFalse;
 };
 
-/// Thrown when the node limit is exceeded; callers (the power estimator)
-/// catch this and fall back to approximate probability propagation.
+/// Default work budget of a BddManager: the number of ITE operation-cache
+/// misses plus allocated nodes a build may spend before it is abandoned.
+/// The count is deterministic (never wall-clock), so whether a build fits is
+/// the same on every host.  3 * 2^17 is 3.2x the heaviest exact paper circuit
+/// (apex7: 122k) and trips a hopeless global build in tens of milliseconds.
+/// Probability callers scale it to their input (scaled_work_budget in
+/// netbdd.hpp).
+inline constexpr std::size_t kBddWorkBudget = std::size_t{3} << 17;
+
+/// Thrown when a manager exhausts its work budget.  The probability stage
+/// (netbdd.hpp, sgraph/partition.hpp) catches it and switches to the sampled
+/// estimate.
 class BddLimitExceeded : public std::runtime_error {
  public:
-  BddLimitExceeded() : std::runtime_error("BDD node limit exceeded") {}
+  BddLimitExceeded() : std::runtime_error("BDD work budget exceeded") {}
 };
 
 class BddManager {
  public:
-  /// \param num_vars   number of variables (levels).
-  /// \param node_limit hard cap on allocated nodes (terminals included).
-  explicit BddManager(std::uint32_t num_vars, std::size_t node_limit = 1u << 23);
+  /// \param num_vars     number of variables (levels).
+  /// \param work_budget  cap on work(): ITE cache misses plus allocated
+  ///                     nodes.  Operations throw BddLimitExceeded past it.
+  explicit BddManager(std::uint32_t num_vars,
+                      std::size_t work_budget = kBddWorkBudget);
 
   BddManager(const BddManager&) = delete;
   BddManager& operator=(const BddManager&) = delete;
@@ -124,6 +137,10 @@ class BddManager {
 
   /// Currently allocated node records (terminals + live + garbage).
   [[nodiscard]] std::size_t allocated_nodes() const noexcept { return var_.size(); }
+  /// Work spent so far: ITE cache misses plus node allocations.  Never
+  /// exceeds work_budget(); deterministic for a given sequence of operations.
+  [[nodiscard]] std::size_t work() const noexcept { return work_; }
+  [[nodiscard]] std::size_t work_budget() const noexcept { return work_budget_; }
   /// Nodes reachable from external handles (exact, walks the DAG).
   [[nodiscard]] std::size_t live_nodes() const;
 
@@ -150,6 +167,13 @@ class BddManager {
     return is_terminal(n) ? kTerminalVar : var_[n];
   }
 
+  /// Charges one unit of work; throws BddLimitExceeded when the budget is
+  /// already spent.
+  void charge() {
+    if (work_ >= work_budget_) throw BddLimitExceeded{};
+    ++work_;
+  }
+
   void ref(BddIndex n) noexcept { ++ext_refs_[n]; }
   void deref(BddIndex n) noexcept { --ext_refs_[n]; }
 
@@ -160,7 +184,8 @@ class BddManager {
   static constexpr std::uint32_t kTerminalVar = 0xffffffffu;
 
   std::uint32_t num_vars_;
-  std::size_t node_limit_;
+  std::size_t work_budget_;
+  std::size_t work_ = 0;
 
   // struct-of-arrays node storage
   std::vector<std::uint32_t> var_;

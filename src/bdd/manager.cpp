@@ -53,8 +53,8 @@ Bdd Bdd::operator!() const { return mgr_->bdd_not(*this); }
 
 // ---- manager -----------------------------------------------------------------
 
-BddManager::BddManager(std::uint32_t num_vars, std::size_t node_limit)
-    : num_vars_(num_vars), node_limit_(node_limit) {
+BddManager::BddManager(std::uint32_t num_vars, std::size_t work_budget)
+    : num_vars_(num_vars), work_budget_(work_budget) {
   // Terminals occupy indices 0 and 1 with the pseudo-variable kTerminalVar.
   var_ = {kTerminalVar, kTerminalVar};
   low_ = {kBddFalse, kBddTrue};
@@ -81,7 +81,7 @@ void BddManager::rehash(std::size_t new_bucket_count) {
   // small cache thrashes on multi-million-node builds and turns shared
   // subproblems into repeated exponential work.
   if (ite_cache_.size() < new_bucket_count &&
-      new_bucket_count <= (node_limit_ << 1))
+      new_bucket_count / 2 <= work_budget_)
     ite_cache_.assign(new_bucket_count, CacheEntry{});
 }
 
@@ -91,6 +91,7 @@ BddIndex BddManager::mk(std::uint32_t v, BddIndex lo, BddIndex hi) {
   for (BddIndex n = buckets_[b]; n != kInvalid; n = next_[n])
     if (var_[n] == v && low_[n] == lo && high_[n] == hi) return n;
 
+  charge();
   BddIndex n;
   if (!free_list_.empty()) {
     n = free_list_.back();
@@ -100,7 +101,6 @@ BddIndex BddManager::mk(std::uint32_t v, BddIndex lo, BddIndex hi) {
     high_[n] = hi;
     ext_refs_[n] = 0;
   } else {
-    if (var_.size() >= node_limit_) throw BddLimitExceeded{};
     n = static_cast<BddIndex>(var_.size());
     var_.push_back(v);
     low_.push_back(lo);

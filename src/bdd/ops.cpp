@@ -35,6 +35,7 @@ BddIndex BddManager::ite_rec(BddIndex f, BddIndex g, BddIndex h) {
     const CacheEntry& entry = ite_cache_[slot];
     if (entry.f == f && entry.g == g && entry.h == h) return entry.result;
   }
+  charge();
 
   const std::uint32_t v =
       std::min({top_var(f), top_var(g), top_var(h)});

@@ -134,6 +134,9 @@ struct FlowReport {
   std::size_t search_batched_trials = 0;
   std::size_t search_batch_walks = 0;
   bool used_exact_bdd = true;
+  /// 95 % confidence half-width of the sampled signal probabilities (0 when
+  /// used_exact_bdd).
+  double prob_halfwidth = 0.0;
   bool equivalence_ok = true;
   double seconds = 0.0;
 };

@@ -40,7 +40,7 @@ bool same_seqprob(const SeqProbOptions& a, const SeqProbOptions& b) {
          a.mfvs.verify == b.mfvs.verify &&
          a.cut_latch_prob == b.cut_latch_prob &&
          a.fixpoint_sweeps == b.fixpoint_sweeps && a.ordering == b.ordering &&
-         a.bdd_node_limit == b.bdd_node_limit;
+         a.bdd_work_budget == b.bdd_work_budget;
 }
 
 bool same_minarea(const MinAreaOptions& a, const MinAreaOptions& b) {
@@ -89,6 +89,24 @@ bool map_inputs_equal(const FlowOptions& a, const FlowOptions& b) {
 
 bool measure_inputs_equal(const FlowOptions& a, const FlowOptions& b) {
   return same_sim(a.sim, b.sim) && a.count_clock_load == b.count_clock_load;
+}
+
+void record_probability_path(obs::MetricsRegistry& registry,
+                             const SeqProbResult& probs) {
+  constexpr const char* kPathHelp =
+      "Probability builds by path: exact BDD or sampled fallback";
+  registry
+      .counter(probs.used_exact_bdd
+                   ? "dominosyn_probability_path_total{path=\"exact\"}"
+                   : "dominosyn_probability_path_total{path=\"sampled\"}",
+               kPathHelp)
+      .add();
+  if (!probs.used_exact_bdd)
+    registry
+        .histogram("dominosyn_probability_abandoned_us",
+                   "Microseconds spent in exact BDD attempts that tripped "
+                   "their work budget")
+        .record(static_cast<std::uint64_t>(probs.abandoned_seconds * 1e6));
 }
 
 const CellLibrary& flow_library() {
@@ -159,6 +177,7 @@ const SeqProbResult& FlowSession::probabilities() {
     probs_.emplace(
         sequential_signal_probabilities(net, pi_probs, options_.seqprob));
     ++stats_.prob_builds;
+    if (metrics_ != nullptr) record_probability_path(*metrics_, *probs_);
   }
   return *probs_;
 }
@@ -382,6 +401,7 @@ FlowReport FlowSession::report(PhaseMode mode) {
   report.latches = net.num_latches();
   report.synth_gates = net.num_gates();
   report.used_exact_bdd = probabilities().used_exact_bdd;
+  report.prob_halfwidth = probabilities().prob_halfwidth;
 
   const AssignStage& assigned = assign(mode);
   report.assignment = assigned.assignment;

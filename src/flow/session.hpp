@@ -5,9 +5,10 @@
 /// `run_flow` runs synthesis → probabilities → phase search → mapping →
 /// measurement monolithically, so an MA/MP/exhaustive comparison re-runs the
 /// expensive shared prefix — technology-independent synthesis, sequential
-/// partitioning and BDD-exact signal probabilities, and the incremental
-/// `EvalContext` build — once per mode.  A `FlowSession` owns the normalized
-/// network and caches each stage artifact the first time it is needed:
+/// partitioning and signal probabilities (exact BDD or sampled), and the
+/// incremental `EvalContext` build — once per mode.  A `FlowSession` owns the
+/// normalized network and caches each stage artifact the first time it is
+/// needed:
 ///
 ///   synthesized()    the 2-input AND/OR/NOT form (compact + standard_synthesis)
 ///   probabilities()  SeqProbOptions-derived signal probabilities / BDDs
@@ -43,6 +44,7 @@
 #include <string>
 
 #include "flow/flow.hpp"
+#include "obs/metrics.hpp"
 
 namespace dominosyn {
 
@@ -145,6 +147,12 @@ class FlowSession {
 
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
 
+  /// Probability-stage metrics go to `registry` from now on (nullptr =
+  /// none): dominosyn_probability_path_total{path="exact"|"sampled"} per
+  /// probability build, and dominosyn_probability_abandoned_us for the time
+  /// each sampled build first spent in its abandoned exact attempt.
+  void set_metrics(obs::MetricsRegistry* registry) noexcept { metrics_ = registry; }
+
  private:
   static constexpr std::size_t kNumModes = 4;
   [[nodiscard]] static std::size_t mode_index(PhaseMode mode) noexcept {
@@ -166,6 +174,7 @@ class FlowSession {
 
   std::optional<Network> synth_;
   std::optional<SeqProbResult> probs_;
+  obs::MetricsRegistry* metrics_ = nullptr;
   std::optional<AssignmentEvaluator> evaluator_;
   std::optional<ConeOverlap> overlap_;
   std::optional<AssignStage> assign_[kNumModes];

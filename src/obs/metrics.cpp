@@ -170,27 +170,37 @@ std::string render_double(double v) {
 
 std::string to_prometheus(const MetricsSnapshot& snapshot) {
   std::string out;
+  std::string previous_base;
   for (const auto& entry : snapshot.entries) {
-    const std::string name = sanitize(entry.name);
+    // A `{...}` suffix is a label set: series of one base name share one
+    // HELP/TYPE preamble (entries arrive sorted, so they are adjacent).
+    const std::size_t brace = entry.kind == MetricsSnapshot::Entry::Kind::kHistogram
+                                  ? std::string::npos
+                                  : entry.name.find('{');
+    const std::string name = sanitize(entry.name.substr(0, brace));
+    const std::string labels =
+        brace == std::string::npos ? std::string() : entry.name.substr(brace);
+    const bool preamble = labels.empty() || name != previous_base;
+    previous_base = name;
     switch (entry.kind) {
       case MetricsSnapshot::Entry::Kind::kCounter:
-        append_help_type(out, name, entry.help, "counter");
-        out += name;
+        if (preamble) append_help_type(out, name, entry.help, "counter");
+        out += name + labels;
         out += ' ';
         out += std::to_string(entry.counter);
         out += '\n';
         break;
       case MetricsSnapshot::Entry::Kind::kGauge:
-        append_help_type(out, name, entry.help, "gauge");
-        out += name;
+        if (preamble) append_help_type(out, name, entry.help, "gauge");
+        out += name + labels;
         out += ' ';
         out += std::to_string(entry.gauge);
         out += '\n';
         break;
       case MetricsSnapshot::Entry::Kind::kDoubleSum:
         // Prometheus has no double-counter distinction; expose as counter.
-        append_help_type(out, name, entry.help, "counter");
-        out += name;
+        if (preamble) append_help_type(out, name, entry.help, "counter");
+        out += name + labels;
         out += ' ';
         out += render_double(entry.double_sum);
         out += '\n';

@@ -178,7 +178,9 @@ class MetricsRegistry {
 
   /// Prometheus text exposition (version 0.0.4) of snapshot():
   /// HELP/TYPE preambles, cumulative `le` buckets with _sum/_count for
-  /// histograms.  Metric names are sanitized to [a-zA-Z0-9_:].
+  /// histograms.  Metric names are sanitized to [a-zA-Z0-9_:], except that
+  /// a counter, gauge or double-sum name may end in a `{label="value"}` set,
+  /// kept verbatim; the series of one base name share one HELP/TYPE.
   [[nodiscard]] std::string prometheus() const;
 
  private:

@@ -320,6 +320,10 @@ Client::SubmitSummary Client::summarize(std::string raw) {
       protocol::find_number(json, "search_batched_trials").value_or(0));
   summary.search_batch_walks = static_cast<std::size_t>(
       protocol::find_number(json, "search_batch_walks").value_or(0));
+  summary.used_exact_bdd =
+      protocol::find_bool(json, "used_exact_bdd").value_or(true);
+  summary.prob_halfwidth =
+      protocol::find_number(json, "prob_halfwidth").value_or(0.0);
   return summary;
 }
 

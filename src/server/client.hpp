@@ -114,6 +114,10 @@ class Client {
     /// ran scalar, batch_lanes = 1).
     std::size_t search_batched_trials = 0;
     std::size_t search_batch_walks = 0;
+    /// Probability path of the served report: exact BDD, or sampled with
+    /// this 95 % confidence half-width.
+    bool used_exact_bdd = true;
+    double prob_halfwidth = 0.0;
     /// The idempotency fingerprint this submit carried on the wire — the
     /// handle for `job_status` / `domino_cli --attach` after a disconnect.
     std::string rid;

@@ -105,6 +105,13 @@ ServerCore::Instruments::Instruments(obs::MetricsRegistry& registry)
           registry.double_sum("dominosyn_bound_tightness_sum",
                               "Summed bound-tightness ratios (divide by "
                               "exhaustive searches for the fleet average)")),
+      sampled_responses(registry.counter(
+          "dominosyn_responses_sampled_probabilities_total",
+          "Responses whose signal probabilities were sampled, not exact")),
+      prob_halfwidth_sum(registry.double_sum(
+          "dominosyn_prob_halfwidth_sum",
+          "Summed 95% half-widths of sampled probabilities (divide by "
+          "sampled responses for the fleet average)")),
       queued_now(registry.gauge("dominosyn_requests_queued",
                                 "Admitted, not yet started")),
       running_now(registry.gauge("dominosyn_requests_running",
@@ -253,6 +260,10 @@ void ServerCore::process(const std::string& key,
           inst_.exhaustive_searches.add();
           inst_.bound_tightness_sum.add(
               response.report.search_bound_tightness);
+        }
+        if (!response.report.used_exact_bdd) {
+          inst_.sampled_responses.add();
+          inst_.prob_halfwidth_sum.add(response.report.prob_halfwidth);
         }
         break;
       case ServerStatus::kRejectedDeadline:
@@ -424,6 +435,7 @@ ServerResponse ServerCore::execute(Pending& pending) {
     SessionCache::Lease lease =
         cache_->lease(key, *pending.request.network, pending.request.options);
     response.telemetry.cache_hit = lease.cache_hit();
+    lease.session().set_metrics(&metrics_);
     const FlowSession::Stats before = lease.session().stats();
     response.report = lease.session().report(pending.request.options.mode);
     response.telemetry.rebuilt = stats_delta(lease.session().stats(), before);
@@ -524,6 +536,9 @@ ServerCore::Stats ServerCore::stats() const {
     snapshot.search_batch_walks =
         static_cast<std::size_t>(inst_.search_batch_walks.value());
     snapshot.bound_tightness_sum = inst_.bound_tightness_sum.value();
+    snapshot.sampled_responses =
+        static_cast<std::size_t>(inst_.sampled_responses.value());
+    snapshot.prob_halfwidth_sum = inst_.prob_halfwidth_sum.value();
     snapshot.retried_submits =
         static_cast<std::size_t>(inst_.retried_submits.value());
     snapshot.reattached_submits =

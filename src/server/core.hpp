@@ -174,6 +174,11 @@ class ServerCore {
     std::size_t search_batched_trials = 0;
     std::size_t search_batch_walks = 0;
     double bound_tightness_sum = 0.0;
+    /// Responses whose signal probabilities were sampled (not exact BDD),
+    /// and the sum of their FlowReport::prob_halfwidth (divide by
+    /// sampled_responses for the fleet average).
+    std::size_t sampled_responses = 0;
+    double prob_halfwidth_sum = 0.0;
     /// Distributed-fabric counters (snapshot of DistCoordinator::counters):
     /// work-unit leases granted, speculative steals, re-issues after worker
     /// loss, and accepted incumbent broadcasts.
@@ -309,6 +314,8 @@ class ServerCore {
     obs::Counter& reattached_submits;
     obs::Counter& degraded_responses;
     obs::DoubleSum& bound_tightness_sum;
+    obs::Counter& sampled_responses;
+    obs::DoubleSum& prob_halfwidth_sum;
     obs::Gauge& queued_now;
     obs::Gauge& running_now;
     obs::Histogram& queue_us;

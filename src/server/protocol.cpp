@@ -336,6 +336,7 @@ void append_report(std::string& out, const FlowReport& report) {
   append_field(out, "search_batched_trials", report.search_batched_trials);
   append_field(out, "search_batch_walks", report.search_batch_walks);
   append_field(out, "used_exact_bdd", report.used_exact_bdd);
+  append_field(out, "prob_halfwidth", report.prob_halfwidth);
   append_field(out, "equivalence_ok", report.equivalence_ok);
   append_field(out, "seconds", report.seconds, /*comma=*/false);
   out += '}';
@@ -481,6 +482,8 @@ std::string format_stats(const ServerCore::Stats& stats,
   append_field(out, "search_batched_trials", stats.search_batched_trials);
   append_field(out, "search_batch_walks", stats.search_batch_walks);
   append_field(out, "bound_tightness_sum", stats.bound_tightness_sum);
+  append_field(out, "sampled_responses", stats.sampled_responses);
+  append_field(out, "prob_halfwidth_sum", stats.prob_halfwidth_sum);
   append_field(out, "units_issued", stats.units_issued);
   append_field(out, "units_stolen", stats.units_stolen);
   append_field(out, "units_reissued", stats.units_reissued);

@@ -26,7 +26,8 @@ struct SeqProbOptions {
   double cut_latch_prob = 0.5;      ///< prior for cut pseudo-PIs
   unsigned fixpoint_sweeps = 0;     ///< extra sweeps refining cut latches too
   OrderingKind ordering = OrderingKind::kReverseTopological;
-  std::size_t bdd_node_limit = 1u << 21;
+  /// Base work budget of the exact BDD attempt (scaled_work_budget).
+  std::size_t bdd_work_budget = kBddWorkBudget;
 };
 
 struct SeqProbResult {
@@ -35,12 +36,17 @@ struct SeqProbResult {
   std::vector<std::uint32_t> cut_latches;///< latch indices cut by the MFVS
   std::size_t sgraph_edges = 0;
   std::size_t symmetry_merges = 0;
-  bool used_exact_bdd = true;            ///< false = approximate fallback
+  bool used_exact_bdd = true;            ///< false = sampled fallback
+  /// 95 % confidence half-width of the sampled probabilities; 0 when exact.
+  double prob_halfwidth = 0.0;
+  /// Wall time of a tripped exact attempt (reporting only).
+  double abandoned_seconds = 0.0;
 };
 
 /// Computes per-node signal probabilities of a (possibly sequential)
-/// network.  For purely combinational networks this reduces to
-/// exact/approximate signal_probabilities().
+/// network through network_probabilities(): exact when the BDD build fits
+/// its work budget, sampled otherwise.  Non-cut latches are resolved one
+/// s-graph level at a time.
 [[nodiscard]] SeqProbResult sequential_signal_probabilities(
     const Network& net, std::span<const double> pi_probs,
     const SeqProbOptions& options = {});

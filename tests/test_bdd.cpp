@@ -216,7 +216,7 @@ TEST(Bdd, GcKeepsLiveHandlesValid) {
 }
 
 TEST(Bdd, NodeLimitThrows) {
-  BddManager mgr(24, /*node_limit=*/64);
+  BddManager mgr(24, /*work_budget=*/64);
   Bdd acc = mgr.bdd_false();
   EXPECT_THROW(
       {

@@ -8,6 +8,7 @@
 #include "bdd/netbdd.hpp"
 #include "bdd/order.hpp"
 #include "benchgen/benchgen.hpp"
+#include "flow/session.hpp"
 #include "util/rng.hpp"
 
 namespace dominosyn {
@@ -31,6 +32,69 @@ std::vector<double> brute_force_probs(const Network& net,
       if (values[id] & 1ULL) prob[id] += weight;
   }
   return prob;
+}
+
+/// Correlation-ignoring propagation (the classic fast estimate): AND
+/// multiplies, OR inverts-multiplies-inverts, NOT complements, XOR folds
+/// pairwise.  The cross-check below shows what it gets wrong.
+std::vector<double> approx_signal_probabilities(const Network& net,
+                                                std::span<const double> pi_probs) {
+  std::vector<double> prob(net.num_nodes(), 0.0);
+  prob[Network::const1()] = 1.0;
+  for (std::size_t i = 0; i < net.num_pis(); ++i) prob[net.pis()[i]] = pi_probs[i];
+  for (const auto& latch : net.latches()) prob[latch.output] = 0.5;
+  for (const NodeId id : net.topo_order()) {
+    const auto& node = net.node(id);
+    switch (node.kind) {
+      case NodeKind::kAnd: {
+        double p = 1.0;
+        for (const NodeId f : node.fanins) p *= prob[f];
+        prob[id] = p;
+        break;
+      }
+      case NodeKind::kOr: {
+        double q = 1.0;
+        for (const NodeId f : node.fanins) q *= 1.0 - prob[f];
+        prob[id] = 1.0 - q;
+        break;
+      }
+      case NodeKind::kXor: {
+        double p = 0.0;
+        for (const NodeId f : node.fanins)
+          p = p * (1.0 - prob[f]) + (1.0 - p) * prob[f];
+        prob[id] = p;
+        break;
+      }
+      case NodeKind::kNot:
+        prob[id] = 1.0 - prob[node.fanins[0]];
+        break;
+      default:
+        break;
+    }
+  }
+  return prob;
+}
+
+/// n x n array multiplier (ripple-carry rows of full adders).  Its middle
+/// product bits have exponential BDDs under every variable order.
+Network make_multiplier(std::size_t n) {
+  Network net;
+  std::vector<NodeId> a, b;
+  for (std::size_t i = 0; i < n; ++i) a.push_back(net.add_pi("a" + std::to_string(i)));
+  for (std::size_t i = 0; i < n; ++i) b.push_back(net.add_pi("b" + std::to_string(i)));
+  std::vector<NodeId> sum(2 * n, Network::const0());
+  for (std::size_t j = 0; j < n; ++j) {
+    NodeId carry = Network::const0();
+    for (std::size_t i = 0; i < n; ++i) {
+      const NodeId pp = net.add_and(a[i], b[j]);
+      const NodeId s = sum[i + j];
+      sum[i + j] = net.add_gate(NodeKind::kXor, {s, pp, carry});
+      carry = net.add_or(net.add_and(s, pp), net.add_and(carry, net.add_xor(s, pp)));
+    }
+    sum[n + j] = carry;
+  }
+  for (std::size_t k = 0; k < 2 * n; ++k) net.add_po("p" + std::to_string(k), sum[k]);
+  return net;
 }
 
 TEST(Prob, SingleGateExact) {
@@ -122,15 +186,76 @@ TEST(Prob, FallbackPathOnNodeLimit) {
   spec.seed = 4;
   const Network net = generate_benchmark(spec);
   const std::vector<double> pi_probs(net.num_pis(), 0.5);
+  bool exact_path = false;
+  const auto exact = signal_probabilities(net, pi_probs, {},
+                                          OrderingKind::kReverseTopological,
+                                          kBddWorkBudget, &exact_path);
+  ASSERT_TRUE(exact_path);
   bool used_exact = true;
   const auto probs = signal_probabilities(net, pi_probs, {},
                                           OrderingKind::kReverseTopological,
-                                          /*node_limit=*/8, &used_exact);
+                                          /*work_budget=*/8, &used_exact);
   EXPECT_FALSE(used_exact);
-  EXPECT_EQ(probs.size(), net.num_nodes());
-  for (const double p : probs) {
-    EXPECT_GE(p, 0.0);
-    EXPECT_LE(p, 1.0);
+  ASSERT_EQ(probs.size(), net.num_nodes());
+  for (NodeId id = 0; id < net.num_nodes(); ++id)
+    EXPECT_NEAR(probs[id], exact[id], 0.01) << "node " << id;
+}
+
+// ---- work budget -------------------------------------------------------------
+
+TEST(Budget, ManagerStopsAtItsWorkCount) {
+  BddManager mgr(24, /*work_budget=*/1000);
+  Bdd acc = mgr.bdd_false();
+  EXPECT_THROW(
+      {
+        for (std::uint32_t v = 0; v < 24; ++v) {
+          acc = acc ^ mgr.var(v);
+          acc = acc | (mgr.var(v) & mgr.var((v + 7) % 24) & mgr.var((v + 3) % 24));
+        }
+      },
+      BddLimitExceeded);
+  EXPECT_EQ(mgr.work(), 1000u);
+  // Every node allocation is charged, so the budget caps the nodes too.
+  EXPECT_LE(mgr.allocated_nodes(), 1000u + 2u);
+}
+
+TEST(Budget, CacheMissesAreChargedBesidesNodes) {
+  BddManager mgr(16);
+  Bdd acc = mgr.bdd_true();
+  for (std::uint32_t v = 0; v < 16; ++v) acc = acc & (mgr.var(v) | mgr.var((v + 5) % 16));
+  // One unit per allocated node plus one per ITE cache miss, so the count
+  // bounds recursion that allocates nothing.
+  EXPECT_GT(mgr.work(), mgr.allocated_nodes());
+}
+
+TEST(Budget, HopelessBuildTripsWithinTheBudget) {
+  const Network net = make_multiplier(16);
+  const std::vector<double> pi_probs(net.num_pis(), 0.5);
+  const NetworkProbabilities result = network_probabilities(net, pi_probs);
+  EXPECT_FALSE(result.exact);
+  ASSERT_LE(net.num_gates(), kBddBudgetGates);
+  EXPECT_EQ(scaled_work_budget(net), kBddWorkBudget);
+  EXPECT_EQ(result.bdd_work, kBddWorkBudget);
+  EXPECT_GT(result.halfwidth, 0.0);
+}
+
+TEST(Budget, ScalesWithGateCountBeyondTheBase) {
+  const Network small = make_multiplier(4);
+  EXPECT_EQ(scaled_work_budget(small, 4096 * 10), 4096u * 10u);
+  const Network big = make_multiplier(40);  // > kBddBudgetGates gates
+  ASSERT_GT(big.num_gates(), kBddBudgetGates);
+  EXPECT_EQ(scaled_work_budget(big, 4096 * 10), big.num_gates() * 10);
+  EXPECT_EQ(scaled_work_budget(big, 8), 8u);
+}
+
+TEST(Budget, ExactPaperCircuitsKeepThreefoldHeadroom) {
+  for (const char* name : {"apex7", "frg1", "x1"}) {
+    FlowSession session(generate_benchmark(paper_spec(name)), FlowOptions{});
+    const Network& net = session.synthesized();
+    const std::size_t budget = scaled_work_budget(net);
+    const auto bdds =
+        build_bdds(net, compute_order(net, OrderingKind::kReverseTopological), budget);
+    EXPECT_LE(3 * bdds.mgr->work(), budget) << name;
   }
 }
 

@@ -183,6 +183,20 @@ TEST(MetricsRegistryTest, RegistrationIsIdempotentByName) {
   EXPECT_EQ(snap.entries[1].counter, 7u);
 }
 
+TEST(MetricsRegistryTest, LabeledSeriesShareOnePreamble) {
+  MetricsRegistry registry;
+  registry.counter("paths_total{path=\"exact\"}", "Paths.").add(3);
+  registry.counter("paths_total{path=\"sampled\"}", "Paths.").add(1);
+  const std::string text = registry.prometheus();
+  EXPECT_NE(text.find("# HELP paths_total Paths.\n# TYPE paths_total counter\n"
+                      "paths_total{path=\"exact\"} 3\n"
+                      "paths_total{path=\"sampled\"} 1\n"),
+            std::string::npos)
+      << text;
+  EXPECT_EQ(text.find("# TYPE paths_total counter\n", text.find("exact")),
+            std::string::npos);
+}
+
 TEST(MetricsRegistryTest, PrometheusExposition) {
   MetricsRegistry registry;
   registry.counter("dominosyn_requests_total", "Requests.").add(5);

@@ -212,6 +212,54 @@ TEST(ServerCore, StatsAggregateCommitPathTelemetry) {
   core.shutdown();
 }
 
+TEST(ServerCore, ProbabilityPathSurfacesInReportsStatsAndMetrics) {
+  // The default work budget fits these small circuits; a zero budget forces
+  // the sampled path.
+  ServerCore core(ServerConfig{});
+  const ServerResponse exact =
+      core.submit(make_request(generate_benchmark(server_spec(85)),
+                               fast_options(PhaseMode::kMinArea)))
+          .get();
+  ASSERT_EQ(exact.status, ServerStatus::kOk) << exact.error_message;
+  EXPECT_TRUE(exact.report.used_exact_bdd);
+  EXPECT_EQ(exact.report.prob_halfwidth, 0.0);
+
+  FlowOptions forced = fast_options(PhaseMode::kMinArea);
+  forced.seqprob.bdd_work_budget = 0;
+  const ServerResponse sampled =
+      core.submit(make_request(generate_benchmark(server_spec(86)), forced)).get();
+  ASSERT_EQ(sampled.status, ServerStatus::kOk) << sampled.error_message;
+  EXPECT_FALSE(sampled.report.used_exact_bdd);
+  EXPECT_GT(sampled.report.prob_halfwidth, 0.0);
+  EXPECT_LT(sampled.report.prob_halfwidth, 0.01);
+
+  const std::string json = protocol::format_response(sampled);
+  EXPECT_EQ(protocol::find_bool(json, "used_exact_bdd"), false);
+  EXPECT_EQ(protocol::find_number(json, "prob_halfwidth"),
+            sampled.report.prob_halfwidth);
+
+  const ServerCore::Stats stats = core.stats();
+  EXPECT_EQ(stats.sampled_responses, 1u);
+  EXPECT_EQ(stats.prob_halfwidth_sum, sampled.report.prob_halfwidth);
+  const std::string stats_json = protocol::format_stats(stats, core.cache());
+  EXPECT_EQ(protocol::find_number(stats_json, "sampled_responses"), 1.0);
+  EXPECT_EQ(protocol::find_number(stats_json, "prob_halfwidth_sum"),
+            sampled.report.prob_halfwidth);
+
+  const std::string text = core.prometheus_text();
+  EXPECT_NE(text.find("dominosyn_probability_path_total{path=\"exact\"} 1\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("dominosyn_probability_path_total{path=\"sampled\"} 1\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("dominosyn_probability_abandoned_us_count 1\n"),
+            std::string::npos);
+  const std::string type_line = "# TYPE dominosyn_probability_path_total counter\n";
+  const std::size_t first = text.find(type_line);
+  ASSERT_NE(first, std::string::npos);
+  EXPECT_EQ(text.find(type_line, first + 1), std::string::npos);
+  core.shutdown();
+}
+
 TEST(ServerCore, BlockedHotKeyDoesNotStallOtherCircuits) {
   const Network hot = generate_benchmark(server_spec(72));
   const Network other = generate_benchmark(server_spec(73, /*pos=*/5));

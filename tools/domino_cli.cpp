@@ -178,8 +178,12 @@ void print_histogram_digest(const std::string& json, const std::string& name) {
 void print_summary(const dominosyn::Client::SubmitSummary& summary) {
   std::cout << summary.circuit << " [" << summary.mode << "] cells="
             << summary.cells << " sim_power=" << summary.sim_power
-            << " est_power=" << summary.est_power
-            << (summary.cache_hit ? " (cache hit," : " (cache miss,")
+            << " est_power=" << summary.est_power;
+  if (summary.used_exact_bdd)
+    std::cout << " prob=exact";
+  else
+    std::cout << " prob=sampled+-" << summary.prob_halfwidth;
+  std::cout << (summary.cache_hit ? " (cache hit," : " (cache miss,")
             << " queue " << summary.queue_seconds * 1e3 << " ms, service "
             << summary.service_seconds * 1e3 << " ms)"
             << (summary.degraded ? " [degraded]" : "");
