@@ -41,6 +41,11 @@
 /// jobs replayed through CheckpointLog construction — records_per_second is
 /// what bench_trend.py gates.
 ///
+/// The flow_stages section times the cold Table 1 flow of one paper circuit
+/// (Industry 2, bench_table1's options) stage by stage on fresh
+/// FlowSessions — the per-stage ms bench_trend.py gates, so a slowdown in
+/// any stage a cold submit waits on fails the nightly trend.
+///
 /// Usage (positional, CI-compatible):
 ///   micro_incremental [num_threads] [gate_target] [num_pos]
 ///                     [sweep_steps] [bb_budget_seconds]
@@ -79,6 +84,7 @@
 #include "dist/search.hpp"
 #include "dist/worker.hpp"
 #include "flow/batch.hpp"
+#include "flow/session.hpp"
 #include "network/synth.hpp"
 #include "obs/trace.hpp"
 #include "phase/assignment.hpp"
@@ -1012,6 +1018,59 @@ int main(int argc, char** argv) {
   std::remove((journal_dir + "/snapshot.djl").c_str());
   ::rmdir(journal_dir.c_str());
 
+  // -- flow stages ------------------------------------------------------------
+  // The cold Table 1 flow of Industry 2 (a sequential block on the sampled
+  // probability path) with bench_table1's options, one thread: a fresh
+  // FlowSession per repetition, each stage forced in flow order and timed
+  // on its own, best-of-3 per stage; total is the whole cold flow, synthesis
+  // and context build included.  Every repetition must produce the same
+  // MA and MP answers.
+  struct FlowStageTimes {
+    double probs = std::numeric_limits<double>::infinity();
+    double assign_ma = std::numeric_limits<double>::infinity();
+    double assign_mp = std::numeric_limits<double>::infinity();
+    double map = std::numeric_limits<double>::infinity();
+    double measure = std::numeric_limits<double>::infinity();
+    double total = std::numeric_limits<double>::infinity();
+  } flow_best;
+  const Network flow_net = generate_benchmark(paper_spec("Industry 2"));
+  FlowOptions flow_options;
+  flow_options.pi_prob = 0.5;
+  flow_options.sim.steps = 1024;
+  flow_options.sim.warmup = 16;
+  std::optional<std::pair<double, double>> flow_powers;
+  for (int rep = 0; rep < 3; ++rep) {
+    Stopwatch total_timer;
+    FlowSession session(flow_net, flow_options);
+    (void)session.synthesized();
+    const auto timed = [&](double& best, auto&& stage) {
+      stopwatch.restart();
+      stage();
+      best = std::min(best, stopwatch.seconds());
+    };
+    timed(flow_best.probs, [&] { (void)session.probabilities(); });
+    (void)session.evaluator();
+    timed(flow_best.assign_ma, [&] { (void)session.assign(PhaseMode::kMinArea); });
+    timed(flow_best.assign_mp, [&] { (void)session.assign(PhaseMode::kMinPower); });
+    timed(flow_best.map, [&] {
+      (void)session.map(PhaseMode::kMinArea);
+      (void)session.map(PhaseMode::kMinPower);
+    });
+    timed(flow_best.measure, [&] {
+      (void)session.measure(PhaseMode::kMinArea);
+      (void)session.measure(PhaseMode::kMinPower);
+    });
+    flow_best.total = std::min(flow_best.total, total_timer.seconds());
+    const std::pair<double, double> powers{
+        session.measure(PhaseMode::kMinArea).total,
+        session.measure(PhaseMode::kMinPower).total};
+    if (flow_powers && *flow_powers != powers) {
+      std::cerr << "FATAL: cold flow repetitions measured different power\n";
+      return 1;
+    }
+    flow_powers = powers;
+  }
+
   const unsigned resolved = ThreadPool::resolve_threads(num_threads);
   std::cout.precision(6);
   std::cout << "{\n"
@@ -1215,6 +1274,16 @@ int main(int argc, char** argv) {
             << "    \"overhead_ratio\": " << traced_seconds / untraced_seconds
             << ",\n"
             << "    \"events_recorded\": " << tracing_events << "\n"
+            << "  },\n"
+            << "  \"flow_stages\": {\n"
+            << "    \"circuit\": \"Industry 2\",\n"
+            << "    \"reps\": 3,\n"
+            << "    \"probs_ms\": " << flow_best.probs * 1e3 << ",\n"
+            << "    \"assign_ma_ms\": " << flow_best.assign_ma * 1e3 << ",\n"
+            << "    \"assign_mp_ms\": " << flow_best.assign_mp * 1e3 << ",\n"
+            << "    \"map_ms\": " << flow_best.map * 1e3 << ",\n"
+            << "    \"measure_ms\": " << flow_best.measure * 1e3 << ",\n"
+            << "    \"total_ms\": " << flow_best.total * 1e3 << "\n"
             << "  },\n"
             << "  \"journal_replay\": {\n"
             << "    \"jobs\": " << kJournalJobs << ",\n"

@@ -18,6 +18,9 @@ Compares the current nightly run's JSON against the previous run's and fails
     path; skipped when the bench reports compiled_out tracing)
   * journal_replay.records_per_second                       (higher better —
     the crash-recovery boot path must not creep)
+  * flow_stages.{probs,assign_ma,assign_mp,map,measure,total}_ms
+                                                            (lower better —
+    the cold Table 1 flow of Industry 2, stage by stage)
 
 Wall-clock metrics on shared CI runners are noisy, so their tolerances are
 deliberately loose (a genuine asymptotic regression blows far past them).
@@ -129,6 +132,13 @@ def main() -> int:
                    "journal_replay.records_per_second"):
         gate.check(metric, lookup(previous, metric), lookup(current, metric),
                    args.max_time_regression, higher_better=True)
+
+    # Per-stage wall times of the cold flow a user waits on: a perf PR that
+    # moves one stage must not let another creep back.
+    for stage in ("probs", "assign_ma", "assign_mp", "map", "measure", "total"):
+        metric = f"flow_stages.{stage}_ms"
+        gate.check(metric, lookup(previous, metric), lookup(current, metric),
+                   args.max_time_regression, higher_better=False)
 
     # The fabric's scaling claim is absolute, not just trend-relative: the
     # bench calibrates the job to >= 0.3 s of real search, so two workers

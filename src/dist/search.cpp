@@ -146,7 +146,6 @@ SearchResult dist_anneal(const AssignmentEvaluator& evaluator,
     unit.anneal_seed = options.seed;
     unit.restart_index = restart;
     unit.iterations = iterations;
-    unit.batch_lanes = options.batch_lanes;
     unit.trace_id = obs::current_trace_id();
     unit.circuit = circuit;
   }
@@ -164,8 +163,6 @@ SearchResult dist_anneal(const AssignmentEvaluator& evaluator,
   std::size_t evaluations = 0;
   for (const UnitResult& unit : outcome.units) {
     evaluations += static_cast<std::size_t>(unit.evaluations);
-    best.batched_evals += static_cast<std::size_t>(unit.batched_evals);
-    best.batch_walks += static_cast<std::size_t>(unit.batch_walks);
     if (best.assignment.empty() || unit.metric < best_metric) {
       best_metric = unit.metric;
       best.assignment = assignment_from_string(unit.assignment);
@@ -226,13 +223,10 @@ UnitResult run_work_unit(const AssignmentEvaluator& evaluator,
     } else {
       const AnnealRestartOutcome result = run_min_area_restart(
           evaluator, unit.anneal_seed, unit.restart_index,
-          static_cast<std::size_t>(unit.iterations),
-          static_cast<std::size_t>(unit.batch_lanes));
+          static_cast<std::size_t>(unit.iterations));
       out.metric = static_cast<double>(result.area);
       out.assignment = assignment_to_string(result.assignment);
       out.evaluations = result.evaluations;
-      out.batched_evals = result.batched_evals;
-      out.batch_walks = result.batch_walks;
     }
   } catch (const std::exception& error) {
     out.ok = false;

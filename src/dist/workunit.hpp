@@ -53,6 +53,7 @@ struct WorkUnit {
   /// B&B: per-unit node budget (the job's global budget; the driver enforces
   /// the global sum at merge time).  0 = unlimited.
   std::uint64_t node_budget = 0;
+  /// B&B: batched-evaluator lane width (annealing units never batch).
   std::uint64_t batch_lanes = 0;
   /// Annealing: master seed, restart index and the resolved (non-zero)
   /// iteration count.

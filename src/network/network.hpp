@@ -117,7 +117,8 @@ class Network {
 
   /// 64-way bit-parallel combinational evaluation.  `pi_words[i]` is the
   /// 64-bit value vector of pis()[i]; `latch_words[i]` of latches()[i].
-  /// Returns one word per node (indexed by NodeId).
+  /// Returns one word per node (indexed by NodeId).  One-shot: builds a
+  /// SimulationPlan per call — hold a plan to simulate many words.
   [[nodiscard]] std::vector<std::uint64_t> simulate(
       std::span<const std::uint64_t> pi_words,
       std::span<const std::uint64_t> latch_words = {}) const;
@@ -136,6 +137,37 @@ class Network {
   std::vector<LatchInfo> latches_;
   std::unordered_map<NodeId, std::string> names_;
   std::unordered_map<std::string, NodeId> name_index_;
+};
+
+/// Compile-once 64-way simulation schedule of one Network (simulate.cpp):
+/// the topological order with sources dropped, each gate's kind and its
+/// fanins in CSR form, and the PI/latch source ids.  run() then evaluates
+/// one word per node with no traversal or allocation, which is what the
+/// clocked power simulator and random equivalence checking need per step.
+/// Dead gates are evaluated too, so every NodeId gets a value.  The plan is
+/// a snapshot: it must be rebuilt after the network changes.
+class SimulationPlan {
+ public:
+  /// Throws std::runtime_error on a combinational cycle.
+  explicit SimulationPlan(const Network& net);
+
+  /// Evaluates every node into `values` (resized to num_nodes(); one word
+  /// per NodeId), with the semantics of Network::simulate: `latch_words`
+  /// empty reads every latch as 0.
+  void run(std::span<const std::uint64_t> pi_words,
+           std::span<const std::uint64_t> latch_words,
+           std::vector<std::uint64_t>& values) const;
+
+  [[nodiscard]] std::size_t num_nodes() const noexcept { return num_nodes_; }
+
+ private:
+  std::size_t num_nodes_ = 0;
+  std::vector<NodeId> pis_;
+  std::vector<NodeId> latch_outputs_;
+  std::vector<NodeId> gates_;               ///< gates in topological order
+  std::vector<NodeKind> kinds_;             ///< per gates_ slot
+  std::vector<std::uint32_t> fanin_begin_;  ///< CSR offsets into fanins_
+  std::vector<NodeId> fanins_;
 };
 
 // -- transformations (transform.cpp) ------------------------------------------

@@ -9,48 +9,74 @@
 
 namespace dominosyn {
 
+SimulationPlan::SimulationPlan(const Network& net)
+    : num_nodes_(net.num_nodes()), pis_(net.pis()) {
+  latch_outputs_.reserve(net.num_latches());
+  for (const auto& latch : net.latches()) latch_outputs_.push_back(latch.output);
+
+  const std::vector<NodeId> order = net.topo_order();
+  gates_.reserve(order.size());
+  kinds_.reserve(order.size());
+  fanin_begin_.reserve(order.size() + 1);
+  fanin_begin_.push_back(0);
+  for (const NodeId id : order) {
+    const NodeKind kind = net.kind(id);
+    if (!is_gate_kind(kind)) continue;
+    const auto& fanins = net.fanins(id);
+    gates_.push_back(id);
+    kinds_.push_back(kind);
+    fanins_.insert(fanins_.end(), fanins.begin(), fanins.end());
+    fanin_begin_.push_back(static_cast<std::uint32_t>(fanins_.size()));
+  }
+}
+
+void SimulationPlan::run(std::span<const std::uint64_t> pi_words,
+                         std::span<const std::uint64_t> latch_words,
+                         std::vector<std::uint64_t>& values) const {
+  if (pi_words.size() != pis_.size())
+    throw std::runtime_error("simulate: PI word count mismatch");
+  if (!latch_words.empty() && latch_words.size() != latch_outputs_.size())
+    throw std::runtime_error("simulate: latch word count mismatch");
+
+  values.resize(num_nodes_);
+  values[Network::const0()] = 0;
+  values[Network::const1()] = ~0ULL;
+  for (std::size_t i = 0; i < pis_.size(); ++i) values[pis_[i]] = pi_words[i];
+  for (std::size_t i = 0; i < latch_outputs_.size(); ++i)
+    values[latch_outputs_[i]] = latch_words.empty() ? 0 : latch_words[i];
+
+  std::uint64_t* const value = values.data();
+  const NodeId* const fanins = fanins_.data();
+  for (std::size_t g = 0; g < gates_.size(); ++g) {
+    const NodeId* f = fanins + fanin_begin_[g];
+    const NodeId* const end = fanins + fanin_begin_[g + 1];
+    std::uint64_t acc;
+    switch (kinds_[g]) {
+      case NodeKind::kAnd:
+        acc = ~0ULL;
+        for (; f != end; ++f) acc &= value[*f];
+        break;
+      case NodeKind::kOr:
+        acc = 0;
+        for (; f != end; ++f) acc |= value[*f];
+        break;
+      case NodeKind::kXor:
+        acc = 0;
+        for (; f != end; ++f) acc ^= value[*f];
+        break;
+      default:  // kNot
+        acc = ~value[*f];
+        break;
+    }
+    value[gates_[g]] = acc;
+  }
+}
+
 std::vector<std::uint64_t> Network::simulate(
     std::span<const std::uint64_t> pi_words,
     std::span<const std::uint64_t> latch_words) const {
-  if (pi_words.size() != pis_.size())
-    throw std::runtime_error("simulate: PI word count mismatch");
-  if (!latch_words.empty() && latch_words.size() != latches_.size())
-    throw std::runtime_error("simulate: latch word count mismatch");
-
-  std::vector<std::uint64_t> value(nodes_.size(), 0);
-  value[const1()] = ~0ULL;
-  for (std::size_t i = 0; i < pis_.size(); ++i) value[pis_[i]] = pi_words[i];
-  for (std::size_t i = 0; i < latches_.size(); ++i)
-    value[latches_[i].output] = latch_words.empty() ? 0 : latch_words[i];
-
-  for (const NodeId id : topo_order()) {
-    const auto& node = nodes_[id];
-    switch (node.kind) {
-      case NodeKind::kAnd: {
-        std::uint64_t acc = ~0ULL;
-        for (const NodeId f : node.fanins) acc &= value[f];
-        value[id] = acc;
-        break;
-      }
-      case NodeKind::kOr: {
-        std::uint64_t acc = 0;
-        for (const NodeId f : node.fanins) acc |= value[f];
-        value[id] = acc;
-        break;
-      }
-      case NodeKind::kXor: {
-        std::uint64_t acc = 0;
-        for (const NodeId f : node.fanins) acc ^= value[f];
-        value[id] = acc;
-        break;
-      }
-      case NodeKind::kNot:
-        value[id] = ~value[node.fanins[0]];
-        break;
-      default:
-        break;  // sources already set
-    }
-  }
+  std::vector<std::uint64_t> value;
+  SimulationPlan(*this).run(pi_words, latch_words, value);
   return value;
 }
 

@@ -278,14 +278,18 @@ EvalState::Leaf EvalState::combine(const Leaf& a, const Leaf& b) noexcept {
 
 EvalState::EvalState(std::shared_ptr<const EvalContext> context,
                      const PhaseAssignment& phases)
-    : EvalState(std::move(context), &phases) {}
+    : EvalState(std::move(context), &phases, false) {}
 
 EvalState::EvalState(std::shared_ptr<const EvalContext> context, AllUnassigned)
-    : EvalState(std::move(context), nullptr) {}
+    : EvalState(std::move(context), nullptr, false) {}
 
 EvalState::EvalState(std::shared_ptr<const EvalContext> context,
-                     const PhaseAssignment* phases)
-    : ctx_(std::move(context)) {
+                     const PhaseAssignment& phases, AreaOnly)
+    : EvalState(std::move(context), &phases, true) {}
+
+EvalState::EvalState(std::shared_ptr<const EvalContext> context,
+                     const PhaseAssignment* phases, bool area_only)
+    : ctx_(std::move(context)), area_only_(area_only) {
   if (!ctx_) throw std::runtime_error("EvalState: null context");
   const std::size_t num_outputs = ctx_->num_outputs();
   if (phases && phases->size() != num_outputs)
@@ -297,11 +301,13 @@ EvalState::EvalState(std::shared_ptr<const EvalContext> context,
 
   const std::size_t keys = ctx_->num_instances();
   ref_.assign(keys, 0);
-  pins_.assign(keys, 0);
-  po_refs_.assign(keys, 0);
   po_inv_.assign(keys, 0);
-  leaf_base_ = std::bit_ceil(std::max<std::size_t>(keys, 2));
-  tree_.assign(leaf_base_ * 2, Leaf{});
+  if (!area_only_) {
+    pins_.assign(keys, 0);
+    po_refs_.assign(keys, 0);
+    leaf_base_ = std::bit_ceil(std::max<std::size_t>(keys, 2));
+    tree_.assign(leaf_base_ * 2, Leaf{});
+  }
 
   building_ = true;
   // Latch next-state roots: permanent demand + one consuming pin each.
@@ -314,7 +320,7 @@ EvalState::EvalState(std::shared_ptr<const EvalContext> context,
     for (std::size_t i = 0; i < phases_.size(); ++i)
       add_output_refs(i, phases_[i]);
   building_ = false;
-  rebuild_tree();
+  if (!area_only_) rebuild_tree();
 }
 
 void EvalState::assign_output(std::size_t output, Phase phase) {
@@ -404,15 +410,9 @@ void EvalState::add_output_refs(std::size_t output, Phase phase) {
   // Structural PO loads + the shared output inverter (mirrors evaluate()).
   if (node <= Network::const1()) return;
   if (!negative) {
-    const InstanceKey key = instance_key(node, pol);
-    ++po_refs_[key];
-    if (ctx_->config().load_aware) refresh_leaf(key);
+    touch_po_ref(instance_key(node, pol), true);
   } else if (source) {
-    if (!pol) {
-      const InstanceKey key = instance_key(node, true);
-      ++po_refs_[key];
-      if (ctx_->config().load_aware) refresh_leaf(key);
-    }
+    if (!pol) touch_po_ref(instance_key(node, true), true);
   } else {
     const InstanceKey key = instance_key(node, pol);
     if (po_inv_[key]++ == 0) {
@@ -438,15 +438,9 @@ void EvalState::remove_output_refs(std::size_t output, Phase phase) {
 
   if (node <= Network::const1()) return;
   if (!negative) {
-    const InstanceKey key = instance_key(node, pol);
-    --po_refs_[key];
-    if (ctx_->config().load_aware) refresh_leaf(key);
+    touch_po_ref(instance_key(node, pol), false);
   } else if (source) {
-    if (!pol) {
-      const InstanceKey key = instance_key(node, true);
-      --po_refs_[key];
-      if (ctx_->config().load_aware) refresh_leaf(key);
-    }
+    if (!pol) touch_po_ref(instance_key(node, true), false);
   } else {
     const InstanceKey key = instance_key(node, pol);
     if (--po_inv_[key] == 0) {
@@ -512,6 +506,7 @@ void EvalState::remove_ref(InstanceKey key) {
 }
 
 void EvalState::touch_pin(InstanceKey key, bool add) {
+  if (area_only_) return;
   if (add)
     ++pins_[key];
   else
@@ -520,7 +515,17 @@ void EvalState::touch_pin(InstanceKey key, bool add) {
   if (ctx_->config().load_aware) refresh_leaf(key);
 }
 
+void EvalState::touch_po_ref(InstanceKey key, bool add) {
+  if (area_only_) return;  // direct PO loads only feed the power leaves
+  if (add)
+    ++po_refs_[key];
+  else
+    --po_refs_[key];
+  if (ctx_->config().load_aware) refresh_leaf(key);
+}
+
 void EvalState::refresh_leaf(InstanceKey key) {
+  if (area_only_) return;
   std::size_t i = leaf_base_ + key;
   tree_[i] =
       compute_leaf(*ctx_, key, ref_[key], pins_[key], po_refs_[key], po_inv_[key]);
@@ -534,6 +539,8 @@ void EvalState::rebuild_tree() {
 }
 
 AssignmentCost EvalState::cost() const {
+  if (area_only_)
+    throw std::logic_error("EvalState::cost: area-only state has no power");
   AssignmentCost cost;
   const Leaf& total = tree_[1];
   cost.power.domino_block = total.domino;

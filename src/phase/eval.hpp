@@ -269,6 +269,21 @@ class EvalState {
   /// kPositive placeholders for unassigned outputs.
   EvalState(std::shared_ptr<const EvalContext> context, AllUnassigned);
 
+  /// Tag selecting the area-only constructor below.
+  struct AreaOnly {};
+
+  /// Constructs an *area-only* state for `phases`: it keeps the demand
+  /// reference counts and the integer cell counters, but no summation tree
+  /// and no pin/PO-load counters, so a flip costs only its reference-count
+  /// cascade.  area_cells(), the gate/inverter counters, demand() and the
+  /// cone averages read exactly what a full state reports; cost() and
+  /// power_total() throw std::logic_error (there is no power to read).  The
+  /// min-area annealing restart searches on integer area alone, so it walks
+  /// the same trajectory on either kind of state.  EvalBatch::bind rejects
+  /// it.
+  EvalState(std::shared_ptr<const EvalContext> context,
+            const PhaseAssignment& phases, AreaOnly);
+
   [[nodiscard]] const EvalContext& context() const noexcept { return *ctx_; }
   [[nodiscard]] const PhaseAssignment& assignment() const noexcept { return phases_; }
 
@@ -302,7 +317,8 @@ class EvalState {
   void set_assignment(const PhaseAssignment& phases);
 
   /// Cost of the current assignment, read from the running sums in O(1).
-  /// Bit-identical to AssignmentEvaluator::evaluate(assignment()).
+  /// Bit-identical to AssignmentEvaluator::evaluate(assignment()).  Throws
+  /// std::logic_error on an area-only state.
   [[nodiscard]] AssignmentCost cost() const;
 
   /// Shorthands for the two search objectives.
@@ -310,6 +326,21 @@ class EvalState {
   [[nodiscard]] std::size_t area_cells() const noexcept {
     return domino_gates_ + input_inverters_ + output_inverters_;
   }
+
+  /// Cell counters (the integer half of cost(), valid on every state).
+  [[nodiscard]] std::size_t domino_gates() const noexcept { return domino_gates_; }
+  [[nodiscard]] std::size_t duplicated_gates() const noexcept {
+    return duplicated_gates_;
+  }
+  [[nodiscard]] std::size_t input_inverters() const noexcept {
+    return input_inverters_;
+  }
+  [[nodiscard]] std::size_t output_inverters() const noexcept {
+    return output_inverters_;
+  }
+
+  /// True for a state built with the AreaOnly tag.
+  [[nodiscard]] bool area_only() const noexcept { return area_only_; }
 
   /// Current polarity demand, derived from the reference counts (equals
   /// AssignmentEvaluator::demand(assignment())).
@@ -356,11 +387,12 @@ class EvalState {
   void add_ref(InstanceKey key);
   void remove_ref(InstanceKey key);
   void touch_pin(InstanceKey key, bool add);
+  void touch_po_ref(InstanceKey key, bool add);
   void refresh_leaf(InstanceKey key);
   void rebuild_tree();
 
   EvalState(std::shared_ptr<const EvalContext> context,
-            const PhaseAssignment* phases);
+            const PhaseAssignment* phases, bool area_only);
 
   std::shared_ptr<const EvalContext> ctx_;
   PhaseAssignment phases_;
@@ -379,6 +411,7 @@ class EvalState {
   std::vector<std::uint32_t> history_;
   std::vector<InstanceKey> scratch_;  ///< reusable cascade stack
   bool building_ = false;
+  bool area_only_ = false;  ///< no tree_/pins_/po_refs_: counters only
 };
 
 inline EvalState::Leaf EvalState::compute_leaf(const EvalContext& ctx,

@@ -164,6 +164,8 @@ void EvalBatch::plan(std::span<const std::uint32_t> outputs) {
 void EvalBatch::bind(const EvalState& base) {
   if (base.ctx_.get() != ctx_.get())
     throw std::runtime_error("EvalBatch::bind: context mismatch");
+  if (base.area_only())
+    throw std::logic_error("EvalBatch::bind: area-only base has no power tree");
   base_ = &base;
   evaluated_ = false;
   num_lanes_ = 0;

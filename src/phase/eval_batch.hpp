@@ -116,7 +116,8 @@ class EvalBatch {
 
   /// Binds the lane programme to a base state (same context) in O(1) — the
   /// base is referenced, not copied.  It must outlive evaluate() calls and
-  /// must not be mutated while bound.  Resets the lane programme.
+  /// must not be mutated while bound.  Resets the lane programme.  Throws
+  /// std::logic_error for an area-only base (it has no summation tree).
   void bind(const EvalState& base);
 
   /// Adds a lane (all choices kBase) and returns its index.

@@ -796,8 +796,8 @@ SearchResult min_area_assignment(const AssignmentEvaluator& evaluator,
   ThreadPool pool(options.num_threads);
 
   pool.parallel_for(num_restarts, [&](std::size_t restart) {
-    restarts[restart] = run_min_area_restart(evaluator, options.seed, restart,
-                                             iterations, options.batch_lanes);
+    restarts[restart] =
+        run_min_area_restart(evaluator, options.seed, restart, iterations);
   });
 
   // Merge in restart order with strict improvement — the sequential rule.
@@ -806,8 +806,6 @@ SearchResult min_area_assignment(const AssignmentEvaluator& evaluator,
   std::size_t evaluations = 0;
   for (const AnnealRestartOutcome& restart : restarts) {
     evaluations += restart.evaluations;
-    global_best.batched_evals += restart.batched_evals;
-    global_best.batch_walks += restart.batch_walks;
     if (global_best.assignment.empty() || restart.area < best_area) {
       best_area = restart.area;
       global_best.assignment = restart.assignment;
@@ -891,10 +889,8 @@ BnbSubtreeResult run_bnb_subtree(const AssignmentEvaluator& evaluator,
 AnnealRestartOutcome run_min_area_restart(const AssignmentEvaluator& evaluator,
                                           std::uint64_t seed,
                                           std::size_t restart_index,
-                                          std::size_t iterations,
-                                          std::size_t batch_lanes) {
+                                          std::size_t iterations) {
   const std::size_t num_pos = evaluator.network().num_pos();
-  const std::size_t lanes = resolve_eval_batch_lanes(batch_lanes);
   const std::size_t restart = restart_index;
 
   Rng rng(seed + restart * 0x9e3779b9ULL);
@@ -903,7 +899,9 @@ AnnealRestartOutcome run_min_area_restart(const AssignmentEvaluator& evaluator,
     for (auto& phase : initial)
       phase = rng.bernoulli(0.5) ? Phase::kNegative : Phase::kPositive;
 
-  EvalState state(evaluator.context(), initial);
+  // The walk and the descent read integer area only, so the state keeps no
+  // power tree: a flip costs its reference-count cascade and nothing more.
+  EvalState state(evaluator.context(), initial, EvalState::AreaOnly{});
   std::size_t evaluations = 1;
   double energy = static_cast<double>(state.area_cells());
   PhaseAssignment best = state.assignment();
@@ -915,11 +913,6 @@ AnnealRestartOutcome run_min_area_restart(const AssignmentEvaluator& evaluator,
       std::pow(t_end / t0, 1.0 / static_cast<double>(iterations));
   double temperature = t0;
 
-  // The metropolis loop cannot batch without changing the trajectory:
-  // rng.uniform() is drawn only when a trial worsens the energy, so the
-  // rng stream itself depends on each measurement's outcome and lanes
-  // evaluated ahead of the draw would replay a different random sequence.
-  // It stays scalar by design (docs/eval_batch.md).
   for (std::size_t iter = 0; iter < iterations; ++iter) {
     state.apply_flip(rng.below(num_pos));
     const double trial = static_cast<double>(state.area_cells());
@@ -937,71 +930,26 @@ AnnealRestartOutcome run_min_area_restart(const AssignmentEvaluator& evaluator,
     temperature *= alpha;
   }
 
-  // Greedy descent from the best annealed point.
+  // Greedy first-improvement descent from the best annealed point.
   state.set_assignment(best);
   energy = best_energy;
-  std::size_t batched_evals = 0;
-  std::size_t batch_walks = 0;
-  if (lanes > 1) {
-    // Windowed first-improvement: lanes score the next W flips of the
-    // sweep in one shared walk; consuming stops at the first improvement,
-    // so every flip is still measured exactly once per sweep and the
-    // descent trajectory equals the scalar flip-by-flip loop.
-    EvalBatch batch(evaluator.context(), lanes);
-    std::vector<std::uint32_t> vars;
-    bool improved = true;
-    while (improved) {
-      improved = false;
-      std::size_t start = 0;
-      while (start < num_pos) {
-        const std::size_t count = std::min(lanes, num_pos - start);
-        vars.clear();
-        for (std::size_t t = 0; t < count; ++t)
-          vars.push_back(static_cast<std::uint32_t>(start + t));
-        batch.plan(vars);
-        batch.bind(state);
-        for (std::size_t t = 0; t < count; ++t) {
-          batch.add_lane();
-          batch.set_flip(t, t);
-        }
-        batch.evaluate();
-        ++batch_walks;
-        std::size_t advanced = count;
-        for (std::size_t t = 0; t < count; ++t) {
-          const double trial = static_cast<double>(batch.area_cells(t));
-          ++evaluations;
-          ++batched_evals;
-          if (trial < energy) {
-            state.apply_flip(start + t);
-            energy = trial;
-            improved = true;
-            advanced = t + 1;  // the tail re-measures from the new base
-            break;
-          }
-        }
-        start += advanced;
-      }
-    }
-  } else {
-    bool improved = true;
-    while (improved) {
-      improved = false;
-      for (std::size_t i = 0; i < num_pos; ++i) {
-        state.apply_flip(i);
-        const double trial = static_cast<double>(state.area_cells());
-        ++evaluations;
-        if (trial < energy) {
-          energy = trial;
-          improved = true;
-        } else {
-          state.undo();
-        }
+  bool improved = true;
+  while (improved) {
+    improved = false;
+    for (std::size_t i = 0; i < num_pos; ++i) {
+      state.apply_flip(i);
+      const double trial = static_cast<double>(state.area_cells());
+      ++evaluations;
+      if (trial < energy) {
+        energy = trial;
+        improved = true;
+      } else {
+        state.undo();
       }
     }
   }
 
-  return {state.assignment(), static_cast<std::size_t>(energy), evaluations,
-          batched_evals, batch_walks};
+  return {state.assignment(), static_cast<std::size_t>(energy), evaluations};
 }
 
 }  // namespace dominosyn

@@ -186,9 +186,9 @@ struct MinAreaOptions {
   /// Worker threads (exhaustive sharding / concurrent annealing restarts);
   /// 0 = one per hardware thread.  The result is identical for every value.
   unsigned num_threads = 1;
-  /// Lane width of the batched evaluator (B&B sibling/pod batching and the
-  /// annealing greedy descent): 0 = auto, 1 = scalar path.  Bit-identical
-  /// results at every width.
+  /// Lane width of the batched evaluator under the exact branch-and-bound
+  /// search (sibling/pod batching): 0 = auto, 1 = scalar path.  Annealing
+  /// never batches.  Bit-identical results at every width.
   std::size_t batch_lanes = 0;
 };
 
@@ -279,17 +279,16 @@ struct BnbSubtreeResult {
 /// One annealing restart of the min-area search, exactly as
 /// min_area_assignment runs it: restart `restart_index` under master seed
 /// `seed` (Rng seeded seed + index * golden-ratio), metropolis walk of
-/// `iterations` steps, then the batched first-improvement descent.
+/// `iterations` steps, then the first-improvement descent — both on an
+/// area-only EvalState (the search reads integer area alone).
 struct AnnealRestartOutcome {
   PhaseAssignment assignment;
   std::size_t area = 0;
   std::size_t evaluations = 0;
-  std::size_t batched_evals = 0;
-  std::size_t batch_walks = 0;
 };
 [[nodiscard]] AnnealRestartOutcome run_min_area_restart(
     const AssignmentEvaluator& evaluator, std::uint64_t seed,
-    std::size_t restart_index, std::size_t iterations, std::size_t batch_lanes);
+    std::size_t restart_index, std::size_t iterations);
 
 /// The iteration count an auto (0) request resolves to — shared by
 /// min_area_assignment and the distributed annealing units so shipped units

@@ -2,10 +2,25 @@
 /// 64-lane clocked power simulation of synthesized domino realizations.
 
 #include <stdexcept>
+#include <utility>
 
 #include "sim/sim.hpp"
 
 namespace dominosyn {
+
+namespace {
+
+/// Portable SWAR population count.  The build targets baseline x86-64, where
+/// __builtin_popcountll is an out-of-line libgcc call per word; inline bit
+/// arithmetic is several times cheaper in the per-step accounting sweep.
+inline std::uint32_t count_ones(std::uint64_t x) noexcept {
+  x -= (x >> 1) & 0x5555555555555555ULL;
+  x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
+  x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0fULL;
+  return static_cast<std::uint32_t>((x * 0x0101010101010101ULL) >> 56);
+}
+
+}  // namespace
 
 VectorGenerator::VectorGenerator(std::vector<double> pi_probs, std::uint64_t seed)
     : probs_(std::move(pi_probs)), rng_(seed) {}
@@ -33,6 +48,43 @@ SimPowerResult simulate_domino_power(const Network& net,
     return options.node_caps.empty() ? fallback : options.node_caps[id];
   };
 
+  // Per-role node lists in ascending id order: each energy accumulator
+  // below adds its role's nodes in exactly the order of one ascending-id
+  // sweep, step after step, so the sums are order-for-order the same.
+  struct DominoGate {
+    NodeId id;
+    double cap, mult, add;
+  };
+  struct Inverter {
+    NodeId id, fanin;
+    double cap;
+  };
+  std::vector<DominoGate> domino_gates;
+  std::vector<Inverter> input_inverters, output_inverters;
+  for (NodeId id = 0; id < net.num_nodes(); ++id) {
+    switch (roles[id]) {
+      case DominoRole::kDominoGate: {
+        const bool is_and = net.kind(id) == NodeKind::kAnd;
+        domino_gates.push_back(
+            {id, cap_of(id, model.gate_cap),
+             is_and ? model.penalty.and_mult : model.penalty.or_mult,
+             is_and ? model.penalty.and_add : model.penalty.or_add});
+        break;
+      }
+      case DominoRole::kInputInverter:
+        input_inverters.push_back(
+            {id, net.fanins(id)[0], cap_of(id, model.inverter_cap)});
+        break;
+      case DominoRole::kOutputInverter:
+        output_inverters.push_back(
+            {id, net.fanins(id)[0], cap_of(id, model.inverter_cap)});
+        break;
+      case DominoRole::kSource:
+        break;
+    }
+  }
+
+  const SimulationPlan plan(net);
   VectorGenerator gen({pi_probs.begin(), pi_probs.end()}, options.seed);
   std::vector<std::uint64_t> pi_words;
   // Latch lane states: every bit lane is an independent trajectory.
@@ -40,12 +92,15 @@ SimPowerResult simulate_domino_power(const Network& net,
   for (std::size_t i = 0; i < net.num_latches(); ++i)
     if (net.latches()[i].init == LatchInit::kOne) latch_words[i] = ~0ULL;
 
-  // Previous-step source values, for static input-inverter edge counting.
+  // This step's node values, and the previous step's for static
+  // input-inverter edge counting; swapped after every step.
+  std::vector<std::uint64_t> value(net.num_nodes(), 0);
   std::vector<std::uint64_t> prev_value(net.num_nodes(), 0);
   bool have_prev = false;
 
   std::vector<std::uint64_t> event_counts(net.num_nodes(), 0);
   std::vector<std::uint64_t> one_counts(net.num_nodes(), 0);
+  std::vector<std::uint32_t> ones(net.num_nodes(), 0);  // this step's, per node
   SimPowerResult result;
   result.per_cycle = PowerBreakdown{};
 
@@ -56,57 +111,38 @@ SimPowerResult simulate_domino_power(const Network& net,
 
   for (std::size_t step = 0; step < options.steps; ++step) {
     gen.next(pi_words);
-    const auto value = net.simulate(pi_words, latch_words);
-    const bool accounted = step >= options.warmup;
+    plan.run(pi_words, latch_words, value);
 
-    if (accounted) {
+    if (step >= options.warmup) {
       for (NodeId id = 0; id < net.num_nodes(); ++id) {
-        const auto ones = static_cast<std::uint32_t>(__builtin_popcountll(value[id]));
-        one_counts[id] += ones;
-        switch (roles[id]) {
-          case DominoRole::kDominoGate: {
-            // One discharge per lane-cycle where the output evaluates to 1.
-            event_counts[id] += ones;
-            const bool is_and = net.kind(id) == NodeKind::kAnd;
-            const double mult =
-                is_and ? model.penalty.and_mult : model.penalty.or_mult;
-            const double add = is_and ? model.penalty.and_add : model.penalty.or_add;
-            domino_energy += ones * cap_of(id, model.gate_cap) * mult + 64.0 * add;
-            clock_energy += 64.0 * model.clock_cap_per_gate;
-            break;
-          }
-          case DominoRole::kInputInverter: {
-            // Value changes of the (static) source between consecutive cycles.
-            if (have_prev) {
-              const NodeId src = net.fanins(id)[0];
-              const auto toggles = static_cast<std::uint32_t>(
-                  __builtin_popcountll(value[src] ^ prev_value[src]));
-              event_counts[id] += toggles;
-              input_inv_energy += toggles * cap_of(id, model.inverter_cap);
-            }
-            break;
-          }
-          case DominoRole::kOutputInverter: {
-            // The domino driver rises and is then precharged: the inverter
-            // sees `domino_driven_inverter_edges` edges per discharged cycle.
-            const NodeId drv = net.fanins(id)[0];
-            const auto fired = static_cast<std::uint32_t>(
-                __builtin_popcountll(value[drv]));
-            event_counts[id] += fired;
-            output_inv_energy += model.domino_driven_inverter_edges * fired *
-                                 cap_of(id, model.inverter_cap);
-            break;
-          }
-          case DominoRole::kSource:
-            break;
+        ones[id] = count_ones(value[id]);
+        one_counts[id] += ones[id];
+      }
+      // One discharge per lane-cycle where the output evaluates to 1.
+      for (const DominoGate& gate : domino_gates) {
+        domino_energy += ones[gate.id] * gate.cap * gate.mult + 64.0 * gate.add;
+        clock_energy += 64.0 * model.clock_cap_per_gate;
+      }
+      // Value changes of the (static) source between consecutive cycles.
+      if (have_prev) {
+        for (const Inverter& inv : input_inverters) {
+          const std::uint32_t toggles =
+              count_ones(value[inv.fanin] ^ prev_value[inv.fanin]);
+          event_counts[inv.id] += toggles;
+          input_inv_energy += toggles * inv.cap;
         }
       }
+      // The domino driver rises and is then precharged: the inverter sees
+      // `domino_driven_inverter_edges` edges per discharged cycle.
+      for (const Inverter& inv : output_inverters)
+        output_inv_energy +=
+            model.domino_driven_inverter_edges * ones[inv.fanin] * inv.cap;
     }
 
     // Advance lanes: latches capture their next-state inputs.
     for (std::size_t i = 0; i < net.num_latches(); ++i)
       latch_words[i] = value[net.latches()[i].input];
-    prev_value = value;
+    std::swap(value, prev_value);
     have_prev = true;
   }
 
@@ -118,6 +154,12 @@ SimPowerResult simulate_domino_power(const Network& net,
   result.per_cycle.output_inverters = output_inv_energy / cycles;
   result.per_cycle.clock_load = clock_energy / cycles;
 
+  // A domino gate's events are its discharges, i.e. its one count; an
+  // output inverter's are its domino driver's.
+  for (const DominoGate& gate : domino_gates)
+    event_counts[gate.id] = one_counts[gate.id];
+  for (const Inverter& inv : output_inverters)
+    event_counts[inv.id] = one_counts[inv.fanin];
   result.activity.assign(net.num_nodes(), 0.0);
   result.one_rate.assign(net.num_nodes(), 0.0);
   for (NodeId id = 0; id < net.num_nodes(); ++id) {

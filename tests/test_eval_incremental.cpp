@@ -4,6 +4,7 @@
 ///    AssignmentEvaluator::evaluate() across random networks and all power
 ///    model variants (the engine's core contract),
 ///  * undo/set_assignment state restoration,
+///  * the area-only state's counters vs a full state's,
 ///  * refcount-derived demand vs the independent stack-walk demand,
 ///  * thread-count independence of exhaustive / min-area / min-power search,
 ///  * the ExhaustiveLimitError contract.
@@ -14,6 +15,7 @@
 #include "benchgen/benchgen.hpp"
 #include "flow/flow.hpp"
 #include "phase/eval.hpp"
+#include "phase/eval_batch.hpp"
 #include "phase/search.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -118,8 +120,122 @@ TEST_P(IncrementalEquivalence, RefcountDemandMatchesWalkDemand) {
   }
 }
 
+/// Drives an area-only state and a full state through the same ~1000
+/// random flips, undos and jumps, checking every cell counter after each.
+void expect_area_only_tracks_full(const AssignmentEvaluator& evaluator,
+                                  std::uint64_t seed) {
+  const std::size_t num_pos = evaluator.network().num_pos();
+  Rng rng(seed);
+  PhaseAssignment initial(num_pos);
+  for (auto& p : initial)
+    p = rng.bernoulli(0.5) ? Phase::kNegative : Phase::kPositive;
+
+  EvalState full(evaluator.context(), initial);
+  EvalState area(evaluator.context(), initial, EvalState::AreaOnly{});
+  EXPECT_TRUE(area.area_only());
+  EXPECT_FALSE(full.area_only());
+  const auto expect_same = [&](int op) {
+    EXPECT_EQ(area.assignment(), full.assignment()) << "op " << op;
+    EXPECT_EQ(area.area_cells(), full.area_cells()) << "op " << op;
+    EXPECT_EQ(area.domino_gates(), full.domino_gates()) << "op " << op;
+    EXPECT_EQ(area.duplicated_gates(), full.duplicated_gates()) << "op " << op;
+    EXPECT_EQ(area.input_inverters(), full.input_inverters()) << "op " << op;
+    EXPECT_EQ(area.output_inverters(), full.output_inverters()) << "op " << op;
+    EXPECT_EQ(area.history_depth(), full.history_depth()) << "op " << op;
+    EXPECT_EQ(area.cone_average_probs(), full.cone_average_probs()) << "op " << op;
+  };
+  expect_same(-1);
+  EXPECT_EQ(area.demand().bits, full.demand().bits);
+
+  for (int op = 0; op < 1000; ++op) {
+    const std::uint64_t roll = rng.below(10);
+    if (roll < 6) {
+      const std::size_t output = rng.below(num_pos);
+      full.apply_flip(output);
+      area.apply_flip(output);
+    } else if (roll < 9) {
+      if (full.history_depth() == 0) continue;
+      full.undo();
+      area.undo();
+    } else {
+      PhaseAssignment target(num_pos);
+      for (auto& p : target)
+        p = rng.bernoulli(0.5) ? Phase::kNegative : Phase::kPositive;
+      full.set_assignment(target);
+      area.set_assignment(target);
+    }
+    expect_same(op);
+  }
+  EXPECT_EQ(area.demand().bits, full.demand().bits);
+  // The counters are the integer half of the full evaluation.
+  const AssignmentCost cost = evaluator.evaluate(area.assignment());
+  EXPECT_EQ(area.domino_gates(), cost.domino_gates);
+  EXPECT_EQ(area.duplicated_gates(), cost.duplicated_gates);
+  EXPECT_EQ(area.input_inverters(), cost.input_inverters);
+  EXPECT_EQ(area.output_inverters(), cost.output_inverters);
+}
+
+TEST_P(IncrementalEquivalence, AreaOnlyStateTracksFullStateCounters) {
+  const std::uint64_t seed = GetParam();
+  BenchSpec spec;
+  spec.name = "areaonly";
+  spec.num_pis = 9;
+  spec.num_pos = 7;
+  spec.num_latches = seed % 2 == 0 ? 3 : 0;
+  spec.gate_target = 80;
+  spec.seed = seed * 29 + 3;
+  const Network net = generate_benchmark(spec);
+  // Every model variant: under the load-aware ones a full state updates the
+  // pin and PO-load counters the area-only state drops.
+  for (const PowerModelConfig& config : model_variants())
+    expect_area_only_tracks_full(make_evaluator(net, config), seed);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalEquivalence,
                          ::testing::Range<std::uint64_t>(1, 9));
+
+TEST(Incremental, AreaOnlyStateOnBoundaryOutputs) {
+  // Direct-wire, input-inverter, constant and NOT-chain outputs: the PO
+  // folding cases where the full state touches PO loads the area-only state
+  // does not keep.
+  Network net;
+  const NodeId a = net.add_pi("a");
+  const NodeId b = net.add_pi("b");
+  const NodeId g = net.add_and(a, b);
+  net.add_po("wire", a);
+  net.add_po("inv", net.add_not(a));
+  net.add_po("const", Network::const0());
+  net.add_po("notconst", net.add_not(Network::const1()));
+  net.add_po("f", g);
+  net.add_po("nf", net.add_not(net.add_not(net.add_not(g))));
+  PowerModelConfig config;
+  config.load_aware = true;
+  expect_area_only_tracks_full(make_evaluator(net, config, 0.7), 5);
+}
+
+TEST(Incremental, AreaOnlyStateRefusesPowerReads) {
+  BenchSpec spec;
+  spec.name = "areaonlythrow";
+  spec.num_pis = 8;
+  spec.num_pos = 5;
+  spec.gate_target = 60;
+  spec.seed = 31;
+  const Network net = generate_benchmark(spec);
+  const AssignmentEvaluator evaluator = make_evaluator(net, {});
+
+  EvalState area(evaluator.context(), all_positive(net), EvalState::AreaOnly{});
+  EXPECT_THROW((void)area.cost(), std::logic_error);
+  EXPECT_THROW((void)area.power_total(), std::logic_error);
+  area.apply_flip(0);
+  EXPECT_THROW((void)area.cost(), std::logic_error);
+  // The batched evaluator reads the power tree a full state keeps.
+  EvalBatch batch(evaluator.context(), 4);
+  EXPECT_THROW(batch.bind(area), std::logic_error);
+  // A copy is still area-only.
+  const EvalState copy = area;
+  EXPECT_TRUE(copy.area_only());
+  EXPECT_THROW((void)copy.cost(), std::logic_error);
+}
 
 TEST(Incremental, SourceResolvedAndConstantOutputs) {
   // The boundary folding cases: direct-wire POs, shared input inverters,

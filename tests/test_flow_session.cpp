@@ -6,13 +6,19 @@
 ///    min-area stage,
 ///  * run_flow_batch returns identical reports for every thread count,
 ///  * SessionCache invalidates on a changed network / changed options and
-///    bounds its working set (LRU).
+///    bounds its working set (LRU),
+///  * golden pins: simulated power and annealed min-area answers on paper
+///    circuits stay bit-for-bit fixed across commits.
 
 #include <gtest/gtest.h>
+
+#include <cmath>
+#include <string>
 
 #include "benchgen/benchgen.hpp"
 #include "flow/batch.hpp"
 #include "flow/session.hpp"
+#include "sim/sim.hpp"
 
 namespace dominosyn {
 namespace {
@@ -456,6 +462,101 @@ TEST(SessionCache, BoundsItsWorkingSetLru) {
   EXPECT_NE(cache.peek("a"), nullptr);
   EXPECT_EQ(cache.peek("b"), nullptr);
   EXPECT_NE(cache.peek("c"), nullptr);
+}
+
+// -- golden bit pins ------------------------------------------------------------
+// The identity tests above compare two paths of one build.  These pin
+// values across commits: a reordered energy accumulation in the power
+// simulator, or a drifted min-area annealing trajectory, fails here even
+// when both paths of a build still agree.  The values are the Table 1 flow's
+// (pi 0.5, 1024 simulation steps, 16 warm-up) and must only change together
+// with a deliberate, documented change of the model or the search.
+
+FlowOptions table1_options() {
+  FlowOptions options;
+  options.pi_prob = 0.5;
+  options.sim.steps = 1024;
+  options.sim.warmup = 16;
+  return options;
+}
+
+/// Order-sensitive checksum of the per-node event counts (activity x cycles,
+/// an exact integer below 2^53).
+std::uint64_t activity_checksum(const SimPowerResult& sim) {
+  std::uint64_t sum = 0;
+  for (const double rate : sim.activity)
+    sum = sum * 1099511628211ULL +
+          static_cast<std::uint64_t>(
+              std::llround(rate * static_cast<double>(sim.cycles)));
+  return sum;
+}
+
+/// The measure stage's simulation of one mode's mapped netlist, with the
+/// per-node activity the stage itself drops.
+SimPowerResult measure_with_activity(FlowSession& session, PhaseMode mode) {
+  const FlowOptions& options = session.options();
+  const MappedNetlist& netlist = session.map(mode).netlist;
+  SimPowerOptions sim = options.sim;
+  sim.node_caps = netlist.node_loads(options.wire_cap);
+  const std::vector<double> pi_probs(netlist.net.num_pis(), options.pi_prob);
+  return simulate_domino_power(netlist.net, pi_probs, sim);
+}
+
+std::string assignment_string(const PhaseAssignment& phases) {
+  std::string out;
+  for (const Phase phase : phases) out += phase == Phase::kPositive ? '+' : '-';
+  return out;
+}
+
+struct MeasurePin {
+  const char* circuit;
+  double domino_block, input_inverters, output_inverters, clock_load;
+  std::uint64_t activity;
+};
+
+TEST(GoldenPins, SimulatedPowerOfMinPowerRealizations) {
+  // apex7 is combinational; Industry 2 is a sequential block (16 latches)
+  // whose lanes carry state from step to step.
+  const MeasurePin pins[] = {
+      {"apex7", 0x1.6f32c1a01abe2p+8, 0x1.48c7222222229p+7,
+       0x1.874b2cb2cb2cbp+1, 0x0p+0, 14128285382537054819ULL},
+      {"Industry 2", 0x1.120ce797f890cp+11, 0x1.3edf35a35a343p+9,
+       0x1.2cddf7df7df7ep+4, 0x0p+0, 7448909574153572205ULL},
+  };
+  for (const MeasurePin& pin : pins) {
+    const Network net = generate_benchmark(paper_spec(pin.circuit));
+    FlowSession session(net, table1_options());
+    const SimPowerResult sim = measure_with_activity(session, PhaseMode::kMinPower);
+    EXPECT_EQ(sim.cycles, 64u * (1024 - 16)) << pin.circuit;
+    EXPECT_EQ(sim.per_cycle.domino_block, pin.domino_block) << pin.circuit;
+    EXPECT_EQ(sim.per_cycle.input_inverters, pin.input_inverters) << pin.circuit;
+    EXPECT_EQ(sim.per_cycle.output_inverters, pin.output_inverters) << pin.circuit;
+    EXPECT_EQ(sim.per_cycle.clock_load, pin.clock_load) << pin.circuit;
+    EXPECT_EQ(activity_checksum(sim), pin.activity) << pin.circuit;
+  }
+}
+
+TEST(GoldenPins, AnnealedMinAreaAssignments) {
+  // Both circuits exceed the exact search's output limit, so these are the
+  // annealing restarts' answers.
+  const struct {
+    const char* circuit;
+    const char* assignment;
+    std::size_t area;
+  } pins[] = {
+      {"x1", "+++-+++++++++-+++++--+++++--", 1079},
+      {"Industry 2",
+       "++++-+++++++++--+-++++-++---++++--++++-++-+++-+--++--+++++++++-++--+"
+       "---+-+++--+++-++++",
+       4585},
+  };
+  for (const auto& pin : pins) {
+    const Network net = generate_benchmark(paper_spec(pin.circuit));
+    FlowSession session(net, table1_options());
+    const FlowSession::AssignStage& ma = session.assign(PhaseMode::kMinArea);
+    EXPECT_EQ(assignment_string(ma.assignment), pin.assignment) << pin.circuit;
+    EXPECT_EQ(ma.cost.area_cells(), pin.area) << pin.circuit;
+  }
 }
 
 }  // namespace

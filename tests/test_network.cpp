@@ -1,10 +1,14 @@
-/// Tests for the logic-network substrate: construction, traversal, cones.
+/// Tests for the logic-network substrate: construction, traversal, cones,
+/// and the compile-once simulation plan.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <string>
 
 #include "network/network.hpp"
+#include "util/rng.hpp"
 
 namespace dominosyn {
 namespace {
@@ -120,6 +124,115 @@ TEST(Network, SimulateMatchesEvaluate) {
     const auto out = net.evaluate(vals);
     EXPECT_EQ(out[0], (a && b) || (a && c)) << bits;
   }
+}
+
+/// Random network with n-ary AND/OR/XOR gates, inverters, constant fanins,
+/// latches (some initialised to one) and gates no root reaches.
+Network random_network(std::uint64_t seed) {
+  Rng rng(seed);
+  Network net;
+  std::vector<NodeId> pool = {Network::const0(), Network::const1()};
+  for (int i = 0; i < 6; ++i) pool.push_back(net.add_pi("i" + std::to_string(i)));
+  for (int i = 0; i < 3; ++i)
+    pool.push_back(net.add_latch("s" + std::to_string(i),
+                                 i == 0 ? LatchInit::kOne : LatchInit::kZero));
+  const std::size_t num_sources = pool.size();
+  const NodeKind kinds[] = {NodeKind::kAnd, NodeKind::kOr, NodeKind::kXor,
+                            NodeKind::kNot};
+  for (int g = 0; g < 70; ++g) {
+    const NodeKind kind = kinds[rng.below(4)];
+    const std::size_t arity = kind == NodeKind::kNot ? 1 : 1 + rng.below(4);
+    std::vector<NodeId> fanins;
+    for (std::size_t f = 0; f < arity; ++f)
+      fanins.push_back(pool[rng.below(pool.size())]);
+    pool.push_back(net.add_gate(kind, fanins));
+  }
+  const auto any_gate = [&] {
+    return pool[num_sources + rng.below(pool.size() - num_sources)];
+  };
+  for (int i = 0; i < 4; ++i) net.add_po("o" + std::to_string(i), any_gate());
+  for (std::size_t i = 0; i < net.num_latches(); ++i)
+    net.set_latch_input(net.latches()[i].output, any_gate());
+  net.validate();
+  return net;
+}
+
+/// Test-local reference: memoised recursion over fanins, one word per node.
+std::uint64_t naive_value(const Network& net, NodeId id,
+                          std::span<const std::uint64_t> pi_words,
+                          std::span<const std::uint64_t> latch_words,
+                          std::vector<std::optional<std::uint64_t>>& memo) {
+  if (memo[id]) return *memo[id];
+  std::uint64_t value = 0;
+  const auto& fanins = net.fanins(id);
+  const auto fanin = [&](std::size_t i) {
+    return naive_value(net, fanins[i], pi_words, latch_words, memo);
+  };
+  switch (net.kind(id)) {
+    case NodeKind::kConst0: value = 0; break;
+    case NodeKind::kConst1: value = ~0ULL; break;
+    case NodeKind::kPi: {
+      const auto& pis = net.pis();
+      value = pi_words[std::find(pis.begin(), pis.end(), id) - pis.begin()];
+      break;
+    }
+    case NodeKind::kLatch:
+      value = latch_words.empty() ? 0 : latch_words[*net.latch_index_of(id)];
+      break;
+    case NodeKind::kAnd:
+      value = ~0ULL;
+      for (std::size_t i = 0; i < fanins.size(); ++i) value &= fanin(i);
+      break;
+    case NodeKind::kOr:
+      for (std::size_t i = 0; i < fanins.size(); ++i) value |= fanin(i);
+      break;
+    case NodeKind::kXor:
+      for (std::size_t i = 0; i < fanins.size(); ++i) value ^= fanin(i);
+      break;
+    case NodeKind::kNot: value = ~fanin(0); break;
+  }
+  memo[id] = value;
+  return value;
+}
+
+TEST(SimulationPlan, MatchesNaiveRecursiveEvaluation) {
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    const Network net = random_network(seed);
+    const SimulationPlan plan(net);
+    ASSERT_EQ(plan.num_nodes(), net.num_nodes());
+    Rng rng(seed * 1000 + 7);
+    std::vector<std::uint64_t> pi_words(net.num_pis());
+    std::vector<std::uint64_t> latch_words(net.num_latches());
+    // One caller-owned buffer across runs, first filled with garbage: every
+    // run must overwrite every node.
+    std::vector<std::uint64_t> values(net.num_nodes(), 0xdeadbeefULL);
+    for (int word = 0; word < 8; ++word) {
+      for (auto& w : pi_words) w = rng.next();
+      for (auto& w : latch_words) w = rng.next();
+      // Alternate given latch words with the empty (all-zero) form.
+      const std::span<const std::uint64_t> latches =
+          word % 2 == 0 ? std::span<const std::uint64_t>(latch_words)
+                        : std::span<const std::uint64_t>();
+      plan.run(pi_words, latches, values);
+      std::vector<std::optional<std::uint64_t>> memo(net.num_nodes());
+      for (NodeId id = 0; id < net.num_nodes(); ++id)
+        ASSERT_EQ(values[id], naive_value(net, id, pi_words, latches, memo))
+            << "seed " << seed << " word " << word << " node " << id;
+      EXPECT_EQ(net.simulate(pi_words, latches), values);
+    }
+  }
+}
+
+TEST(SimulationPlan, RejectsMismatchedWordCounts) {
+  const Network net = random_network(3);
+  const SimulationPlan plan(net);
+  std::vector<std::uint64_t> values;
+  const std::vector<std::uint64_t> pis(net.num_pis()), short_pis(1);
+  const std::vector<std::uint64_t> short_latches(1);
+  EXPECT_THROW(plan.run(short_pis, {}, values), std::runtime_error);
+  EXPECT_THROW(plan.run(pis, short_latches, values), std::runtime_error);
+  EXPECT_NO_THROW(plan.run(pis, {}, values));
+  EXPECT_EQ(values.size(), net.num_nodes());
 }
 
 TEST(Network, CombinationalCycleDetected) {

@@ -322,16 +322,19 @@ TEST(MinPower, TrajectoryBitIdenticalAcrossLaneWidthsAndThreads) {
         EXPECT_EQ(got.initial_power, reference.initial_power);
         EXPECT_EQ(got.trials, reference.trials);
         EXPECT_EQ(got.commits, reference.commits);
-        if (lanes > 1) EXPECT_GT(got.batched_trials, 0u);
+        if (lanes > 1) {
+          EXPECT_GT(got.batched_trials, 0u);
+        }
       }
     }
   }
 }
 
 TEST(MinArea, AnnealingBitIdenticalAcrossLaneWidthsAndThreads) {
-  // Same contract for the annealing + greedy-descent fallback: the seeded
-  // walk commits the same flips whether candidates are scored one at a time
-  // or through EvalBatch lanes, on any number of restart workers.
+  // Same contract for the annealing + greedy-descent fallback, which scores
+  // on an area-only state and never batches: the lane width must not reach
+  // it at all, and the seeded walk commits the same flips on any number of
+  // restart workers.
   BenchSpec spec;
   spec.name = "malanes";
   spec.num_pis = 9;
@@ -358,6 +361,9 @@ TEST(MinArea, AnnealingBitIdenticalAcrossLaneWidthsAndThreads) {
           << "lanes=" << lanes << " threads=" << threads;
       EXPECT_EQ(got.cost.area_cells(), reference.cost.area_cells());
       EXPECT_EQ(got.cost.power.total(), reference.cost.power.total());
+      EXPECT_EQ(got.evaluations, reference.evaluations);
+      EXPECT_EQ(got.batched_evals, 0u);
+      EXPECT_EQ(got.batch_walks, 0u);
     }
   }
 }
