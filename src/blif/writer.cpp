@@ -25,7 +25,10 @@ std::string signal_name(const Network& net, NodeId id,
   } else if (const auto attached = net.node_name(id)) {
     name = *attached;
   } else {
-    name = "n" + std::to_string(id);
+    // Appended rather than "n" + std::to_string(id): GCC 12 at -O3 flags
+    // the inlined string insert with a -Wrestrict false positive.
+    name.push_back('n');
+    name += std::to_string(id);
   }
   cache[id] = name;
   return name;

@@ -139,13 +139,23 @@ class Network {
   std::unordered_map<std::string, NodeId> name_index_;
 };
 
-/// Compile-once 64-way simulation schedule of one Network (simulate.cpp):
-/// the topological order with sources dropped, each gate's kind and its
-/// fanins in CSR form, and the PI/latch source ids.  run() then evaluates
-/// one word per node with no traversal or allocation, which is what the
-/// clocked power simulator and random equivalence checking need per step.
-/// Dead gates are evaluated too, so every NodeId gets a value.  The plan is
-/// a snapshot: it must be rebuilt after the network changes.
+/// Compile-once 64-way simulation schedule of one Network (simulate.cpp).
+/// Every gate, in logic-level order (so consecutive ops rarely depend on
+/// each other), is compiled to fixed-width ops of four inputs each,
+/// evaluated in AND form with an input and an output mask:
+///
+///   value[out] = ((v[in0]^m_in) & (v[in1]^m_in) & (v[in2]^m_in) & (v[in3]^m_in)) ^ m_out
+///
+/// AND is masks 0/0, OR ~0/~0 (De Morgan), NOT 0/~0; unused inputs read
+/// const1 (AND, NOT) or const0 (OR, XOR).  A gate with more than four fanins
+/// chains further ops that take its own value as their first input.  XOR
+/// gates, which synthesis decomposes before any domino flow, take the one
+/// rarely taken branch (v[in0]^v[in1]^v[in2]^v[in3]).  run() then evaluates
+/// one word per node with no traversal, allocation, per-gate switch or
+/// per-gate loop, which is what the clocked power simulator and random
+/// equivalence checking need per step.  Dead gates are evaluated too, so
+/// every NodeId gets a value.  The plan is a snapshot: it must be rebuilt
+/// after the network changes.
 class SimulationPlan {
  public:
   /// Throws std::runtime_error on a combinational cycle.
@@ -161,13 +171,18 @@ class SimulationPlan {
   [[nodiscard]] std::size_t num_nodes() const noexcept { return num_nodes_; }
 
  private:
+  struct Op {
+    std::uint64_t in_mask = 0;
+    std::uint64_t out_mask = 0;
+    NodeId in[4] = {};
+    NodeId out = 0;
+    std::uint32_t is_xor = 0;
+  };
+
   std::size_t num_nodes_ = 0;
   std::vector<NodeId> pis_;
   std::vector<NodeId> latch_outputs_;
-  std::vector<NodeId> gates_;               ///< gates in topological order
-  std::vector<NodeKind> kinds_;             ///< per gates_ slot
-  std::vector<std::uint32_t> fanin_begin_;  ///< CSR offsets into fanins_
-  std::vector<NodeId> fanins_;
+  std::vector<Op> ops_;  ///< gates in level order, chains contiguous
 };
 
 // -- transformations (transform.cpp) ------------------------------------------
@@ -212,8 +227,10 @@ struct NetworkStats {
 // -- cone analysis (topo.cpp) --------------------------------------------------
 
 /// Pairwise cone overlap of the paper, O(i,j) = |Di ∩ Dj| / (|Di| + |Dj|),
-/// with Di = tfi_gates(po i driver).  Returned as a flattened upper-triangular
-/// matrix accessor.
+/// with Di = tfi_gates(po i driver).  The construction intersects per-output
+/// cone bitsets once per pair and keeps the integer intersections as a
+/// flattened upper-triangular table (4 B per pair), so intersection() and
+/// overlap() are lookups.
 class ConeOverlap {
  public:
   explicit ConeOverlap(const Network& net);
@@ -231,6 +248,8 @@ class ConeOverlap {
  private:
   std::vector<std::vector<NodeId>> cones_;
   std::vector<std::size_t> cone_size_;
+  /// |D_i ∩ D_j| for i < j, row-major over the upper triangle.
+  std::vector<std::uint32_t> pair_intersection_;
 };
 
 }  // namespace dominosyn

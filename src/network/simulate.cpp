@@ -1,8 +1,10 @@
 /// \file simulate.cpp
-/// 64-way bit-parallel combinational evaluation of a Network.  Used for
+/// 64-way bit-parallel combinational evaluation of a Network, compiled once
+/// to branch-free AND-form ops (network.hpp, SimulationPlan).  Used for
 /// equivalence checking between phase-assigned realizations and the original
 /// logic, and as the functional core of the power simulator.
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "network/network.hpp"
@@ -14,19 +16,49 @@ SimulationPlan::SimulationPlan(const Network& net)
   latch_outputs_.reserve(net.num_latches());
   for (const auto& latch : net.latches()) latch_outputs_.push_back(latch.output);
 
-  const std::vector<NodeId> order = net.topo_order();
-  gates_.reserve(order.size());
-  kinds_.reserve(order.size());
-  fanin_begin_.reserve(order.size() + 1);
-  fanin_begin_.push_back(0);
+  // Level order, not DFS post-order: a post-order puts each gate right after
+  // the fanin it reads, so consecutive ops form one long dependency chain;
+  // level by level, consecutive ops are independent and overlap.
+  std::vector<NodeId> order = net.topo_order();
+  std::vector<std::uint32_t> level(net.num_nodes(), 0);
+  for (const NodeId id : order)
+    for (const NodeId f : net.fanins(id))
+      level[id] = std::max(level[id], level[f] + 1);
+  std::stable_sort(order.begin(), order.end(),
+                   [&](NodeId a, NodeId b) { return level[a] < level[b]; });
+  ops_.reserve(order.size());
   for (const NodeId id : order) {
     const NodeKind kind = net.kind(id);
     if (!is_gate_kind(kind)) continue;
+    Op op;
+    op.out = id;
+    NodeId pad = Network::const1();  // neutral input of the AND form
+    switch (kind) {
+      case NodeKind::kOr:
+        op.in_mask = op.out_mask = ~0ULL;
+        pad = Network::const0();
+        break;
+      case NodeKind::kXor:
+        op.is_xor = 1;
+        pad = Network::const0();
+        break;
+      case NodeKind::kNot:
+        op.out_mask = ~0ULL;
+        break;
+      default:  // kAnd
+        break;
+    }
+    // The first op takes four fanins; each chained op takes the gate's own
+    // partial value and three more.
     const auto& fanins = net.fanins(id);
-    gates_.push_back(id);
-    kinds_.push_back(kind);
-    fanins_.insert(fanins_.end(), fanins.begin(), fanins.end());
-    fanin_begin_.push_back(static_cast<std::uint32_t>(fanins_.size()));
+    std::size_t next = 0;
+    do {
+      std::size_t slot = 0;
+      if (next > 0) op.in[slot++] = id;
+      for (; slot < 4; ++slot)
+        op.in[slot] = next < fanins.size() ? fanins[next++] : pad;
+      ops_.push_back(op);
+    } while (next < fanins.size());
   }
 }
 
@@ -46,29 +78,17 @@ void SimulationPlan::run(std::span<const std::uint64_t> pi_words,
     values[latch_outputs_[i]] = latch_words.empty() ? 0 : latch_words[i];
 
   std::uint64_t* const value = values.data();
-  const NodeId* const fanins = fanins_.data();
-  for (std::size_t g = 0; g < gates_.size(); ++g) {
-    const NodeId* f = fanins + fanin_begin_[g];
-    const NodeId* const end = fanins + fanin_begin_[g + 1];
-    std::uint64_t acc;
-    switch (kinds_[g]) {
-      case NodeKind::kAnd:
-        acc = ~0ULL;
-        for (; f != end; ++f) acc &= value[*f];
-        break;
-      case NodeKind::kOr:
-        acc = 0;
-        for (; f != end; ++f) acc |= value[*f];
-        break;
-      case NodeKind::kXor:
-        acc = 0;
-        for (; f != end; ++f) acc ^= value[*f];
-        break;
-      default:  // kNot
-        acc = ~value[*f];
-        break;
+  for (const Op& op : ops_) {
+    const std::uint64_t a = value[op.in[0]];
+    const std::uint64_t b = value[op.in[1]];
+    const std::uint64_t c = value[op.in[2]];
+    const std::uint64_t d = value[op.in[3]];
+    if (op.is_xor != 0) [[unlikely]] {
+      value[op.out] = a ^ b ^ c ^ d;
+    } else {
+      const std::uint64_t m = op.in_mask;
+      value[op.out] = ((a ^ m) & (b ^ m) & (c ^ m) & (d ^ m)) ^ op.out_mask;
     }
-    value[gates_[g]] = acc;
   }
 }
 

@@ -3,9 +3,12 @@
 /// paper's cone-overlap measure O(i,j).
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
+#include <utility>
 
 #include "network/network.hpp"
+#include "util/bits.hpp"
 
 namespace dominosyn {
 
@@ -114,30 +117,67 @@ std::vector<std::uint32_t> Network::fanout_counts() const {
 }
 
 ConeOverlap::ConeOverlap(const Network& net) {
-  cones_.reserve(net.num_pos());
-  for (const auto& po : net.pos()) cones_.push_back(net.tfi_gates(po.driver));
-  cone_size_.reserve(cones_.size());
-  for (const auto& cone : cones_) cone_size_.push_back(cone.size());
+  // One bitset per cone over node ids, filled by a DFS from the output's
+  // driver that uses the bitset as its visited set; the sorted cone is then
+  // a scan of the bits (the same set tfi_gates returns).  A pair's
+  // intersection is the popcount of the AND over the two cones' common span
+  // of words, computed once here for every pair.
+  const std::size_t n = net.num_pos();
+  const std::size_t words = (net.num_nodes() + 63) / 64;
+  std::vector<std::uint64_t> bits(n * words, 0);
+  std::vector<std::size_t> first(n, 0), last(n, 0);  // [first, last) words
+  std::vector<NodeId> stack;
+  cones_.resize(n);
+  cone_size_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    std::uint64_t* const row = bits.data() + i * words;
+    const auto visit = [&](NodeId id) {
+      if (!is_gate_kind(net.kind(id))) return;
+      std::uint64_t& word = row[id / 64];
+      const std::uint64_t bit = 1ULL << (id % 64);
+      if ((word & bit) != 0) return;
+      word |= bit;
+      stack.push_back(id);
+    };
+    const NodeId driver = net.pos()[i].driver;
+    if (driver != kNullNode) visit(driver);
+    while (!stack.empty()) {
+      const NodeId id = stack.back();
+      stack.pop_back();
+      for (const NodeId f : net.fanins(id)) visit(f);
+    }
+    std::vector<NodeId>& cone = cones_[i];
+    for (std::size_t w = 0; w < words; ++w)
+      for (std::uint64_t x = row[w]; x != 0; x &= x - 1)
+        cone.push_back(static_cast<NodeId>(w * 64 + std::countr_zero(x)));
+    cone_size_[i] = cone.size();
+    if (!cone.empty()) {
+      first[i] = cone.front() / 64;
+      last[i] = cone.back() / 64 + 1;
+    }
+  }
+
+  pair_intersection_.reserve(n < 2 ? 0 : n * (n - 1) / 2);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t* const a = bits.data() + i * words;
+    for (std::size_t j = i + 1; j < n; ++j) {
+      const std::uint64_t* const b = bits.data() + j * words;
+      std::uint32_t count = 0;
+      const std::size_t end = std::min(last[i], last[j]);
+      for (std::size_t w = std::max(first[i], first[j]); w < end; ++w)
+        count += count_ones(a[w] & b[w]);
+      pair_intersection_.push_back(count);
+    }
+  }
 }
 
 std::size_t ConeOverlap::intersection(std::size_t i, std::size_t j) const {
-  const auto& a = cones_.at(i);
-  const auto& b = cones_.at(j);
-  std::size_t count = 0;
-  auto ia = a.begin();
-  auto ib = b.begin();
-  while (ia != a.end() && ib != b.end()) {
-    if (*ia < *ib) {
-      ++ia;
-    } else if (*ib < *ia) {
-      ++ib;
-    } else {
-      ++count;
-      ++ia;
-      ++ib;
-    }
-  }
-  return count;
+  const std::size_t n = cone_size_.size();
+  if (i >= n || j >= n) throw std::out_of_range("ConeOverlap: output index");
+  if (i == j) return cone_size_[i];
+  if (i > j) std::swap(i, j);
+  // Row i of the upper triangle starts after rows 0..i-1 (n-1-r pairs each).
+  return pair_intersection_[i * (2 * n - i - 1) / 2 + (j - i - 1)];
 }
 
 double ConeOverlap::overlap(std::size_t i, std::size_t j) const {

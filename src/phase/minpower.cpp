@@ -8,6 +8,9 @@
 /// Ai- = 1 - Ai (flip; Property 4.1), pick the globally cheapest (pair,
 /// combination), *measure* the resulting realization's power, commit only if
 /// it improves, and remove the pair from the candidate set either way.
+/// O(i,j) is fixed by the circuit, so it is read from ConeOverlap's table of
+/// pair intersections, computed once per circuit (and cached by FlowSession
+/// across warm re-runs), rather than re-derived at every scoring.
 ///
 /// Measurements run on the incremental engine: a trial is one or two
 /// O(|cone|) flips on a persistent EvalState, undone unless committed — or,
@@ -142,9 +145,9 @@ MinPowerResult min_power_assignment(const AssignmentEvaluator& evaluator,
   for (std::size_t i = 0; i < num_pos; ++i)
     for (std::size_t j = i + 1; j < num_pos; ++j) candidates.emplace_back(i, j);
 
-  // Precompute |Di| and O(i,j).  The averages come from the EvalContext's
-  // per-phase table (bit-identical to the from-scratch walk); a commit
-  // refreshes only the flipped outputs' entries.
+  // |Di| as doubles; O(i,j) is a table read.  The averages come from the
+  // EvalContext's per-phase table (bit-identical to the from-scratch walk);
+  // a commit refreshes only the flipped outputs' entries.
   std::vector<double> cone_size(num_pos);
   for (std::size_t i = 0; i < num_pos; ++i)
     cone_size[i] = static_cast<double>(overlap.cone_size(i));

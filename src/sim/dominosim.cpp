@@ -1,24 +1,78 @@
 /// \file dominosim.cpp
 /// 64-lane clocked power simulation of synthesized domino realizations.
 
+#include <span>
 #include <stdexcept>
 #include <utility>
 
 #include "sim/sim.hpp"
+#include "util/bits.hpp"
+
+#if defined(__x86_64__) && !defined(DOMINOSYN_NO_SIMD) && \
+    (defined(__GNUC__) || defined(__clang__))
+#define DOMINOSYN_DOMINOSIM_POPCNT 1
+#endif
 
 namespace dominosyn {
 
 namespace {
 
-/// Portable SWAR population count.  The build targets baseline x86-64, where
-/// __builtin_popcountll is an out-of-line libgcc call per word; inline bit
-/// arithmetic is several times cheaper in the per-step accounting sweep.
-inline std::uint32_t count_ones(std::uint64_t x) noexcept {
-  x -= (x >> 1) & 0x5555555555555555ULL;
-  x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
-  x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0fULL;
-  return static_cast<std::uint32_t>((x * 0x0101010101010101ULL) >> 56);
+/// A domino gate's per-step energy parameters, in ascending id order.
+struct DominoGate {
+  NodeId id;
+  double cap, mult, add64;  // add64 = 64.0 * add, the per-step lane charge
+};
+
+/// One accounting step's counting pass over this step's node values.
+struct StepCounts {
+  std::span<const DominoGate> domino_gates;
+  std::span<const NodeId> other_nodes;  ///< every node that is not a domino gate
+  const std::uint64_t* value;
+  std::uint64_t* one_counts;  ///< accumulated one counts, per node
+  double* domino_terms;       ///< this step's energy term, per domino gate
+};
+
+// Counts every node's ones once, and computes each domino gate's energy term
+// `ones * cap * mult + 64 * add` from its count in the same pass: the terms
+// have no dependency between gates; the caller adds them up serially.
+// Where the CPU has POPCNT, a copy compiled for it is selected once at load
+// time; DOMINOSYN_NO_SIMD compiles it out so the forced-scalar build tests
+// the SWAR fallback.  Integer counts are exact either way, and the POPCNT
+// target enables no FMA, so the terms cannot be contracted.
+template <typename CountOnes>
+[[gnu::always_inline]] inline void count_step(const StepCounts& step,
+                                              CountOnes count) {
+  for (std::size_t g = 0; g < step.domino_gates.size(); ++g) {
+    const DominoGate& gate = step.domino_gates[g];
+    const std::uint32_t ones = count(step.value[gate.id]);
+    step.one_counts[gate.id] += ones;
+    step.domino_terms[g] = ones * gate.cap * gate.mult + gate.add64;
+  }
+  for (const NodeId id : step.other_nodes)
+    step.one_counts[id] += count(step.value[id]);
 }
+
+void count_step_swar(const StepCounts& step) { count_step(step, count_ones); }
+
+#ifdef DOMINOSYN_DOMINOSIM_POPCNT
+__attribute__((target("popcnt"))) void count_step_popcnt(const StepCounts& step) {
+  count_step(step, [](std::uint64_t x) {
+    return static_cast<std::uint32_t>(__builtin_popcountll(x));
+  });
+}
+#endif
+
+using CountStepFn = void (*)(const StepCounts&);
+
+CountStepFn pick_count_step() {
+#ifdef DOMINOSYN_DOMINOSIM_POPCNT
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("popcnt")) return count_step_popcnt;
+#endif
+  return count_step_swar;
+}
+
+const CountStepFn g_count_step = pick_count_step();
 
 }  // namespace
 
@@ -51,24 +105,22 @@ SimPowerResult simulate_domino_power(const Network& net,
   // Per-role node lists in ascending id order: each energy accumulator
   // below adds its role's nodes in exactly the order of one ascending-id
   // sweep, step after step, so the sums are order-for-order the same.
-  struct DominoGate {
-    NodeId id;
-    double cap, mult, add;
-  };
   struct Inverter {
     NodeId id, fanin;
     double cap;
   };
   std::vector<DominoGate> domino_gates;
+  std::vector<NodeId> other_nodes;
   std::vector<Inverter> input_inverters, output_inverters;
   for (NodeId id = 0; id < net.num_nodes(); ++id) {
+    if (roles[id] != DominoRole::kDominoGate) other_nodes.push_back(id);
     switch (roles[id]) {
       case DominoRole::kDominoGate: {
         const bool is_and = net.kind(id) == NodeKind::kAnd;
         domino_gates.push_back(
             {id, cap_of(id, model.gate_cap),
              is_and ? model.penalty.and_mult : model.penalty.or_mult,
-             is_and ? model.penalty.and_add : model.penalty.or_add});
+             64.0 * (is_and ? model.penalty.and_add : model.penalty.or_add)});
         break;
       }
       case DominoRole::kInputInverter:
@@ -100,7 +152,8 @@ SimPowerResult simulate_domino_power(const Network& net,
 
   std::vector<std::uint64_t> event_counts(net.num_nodes(), 0);
   std::vector<std::uint64_t> one_counts(net.num_nodes(), 0);
-  std::vector<std::uint32_t> ones(net.num_nodes(), 0);  // this step's, per node
+  std::vector<double> domino_terms(domino_gates.size());  // this step's, per gate
+  const double clock_term = 64.0 * model.clock_cap_per_gate;
   SimPowerResult result;
   result.per_cycle = PowerBreakdown{};
 
@@ -114,14 +167,13 @@ SimPowerResult simulate_domino_power(const Network& net,
     plan.run(pi_words, latch_words, value);
 
     if (step >= options.warmup) {
-      for (NodeId id = 0; id < net.num_nodes(); ++id) {
-        ones[id] = count_ones(value[id]);
-        one_counts[id] += ones[id];
-      }
-      // One discharge per lane-cycle where the output evaluates to 1.
-      for (const DominoGate& gate : domino_gates) {
-        domino_energy += ones[gate.id] * gate.cap * gate.mult + 64.0 * gate.add;
-        clock_energy += 64.0 * model.clock_cap_per_gate;
+      // One discharge per lane-cycle where the output evaluates to 1; each
+      // sum adds its terms in ascending id order, step after step.
+      g_count_step({domino_gates, other_nodes, value.data(), one_counts.data(),
+                    domino_terms.data()});
+      for (std::size_t g = 0; g < domino_gates.size(); ++g) {
+        domino_energy += domino_terms[g];
+        clock_energy += clock_term;
       }
       // Value changes of the (static) source between consecutive cycles.
       if (have_prev) {
@@ -136,7 +188,8 @@ SimPowerResult simulate_domino_power(const Network& net,
       // `domino_driven_inverter_edges` edges per discharged cycle.
       for (const Inverter& inv : output_inverters)
         output_inv_energy +=
-            model.domino_driven_inverter_edges * ones[inv.fanin] * inv.cap;
+            model.domino_driven_inverter_edges * count_ones(value[inv.fanin]) *
+            inv.cap;
     }
 
     // Advance lanes: latches capture their next-state inputs.

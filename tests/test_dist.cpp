@@ -757,7 +757,7 @@ TEST(DistFabric, TcpWorkersServeSubmitsBitIdenticallyToLocal) {
     worker_config.idle_poll_ms = 5;
     std::vector<std::unique_ptr<DistWorker>> fleet;
     for (unsigned w = 0; w < workers; ++w) {
-      worker_config.name = "w" + std::to_string(w);
+      worker_config.name = std::string("w").append(std::to_string(w));
       fleet.push_back(std::make_unique<DistWorker>(worker_config));
       fleet.back()->start();
     }

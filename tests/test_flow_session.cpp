@@ -18,6 +18,7 @@
 #include "benchgen/benchgen.hpp"
 #include "flow/batch.hpp"
 #include "flow/session.hpp"
+#include "phase/search.hpp"
 #include "sim/sim.hpp"
 
 namespace dominosyn {
@@ -557,6 +558,29 @@ TEST(GoldenPins, AnnealedMinAreaAssignments) {
     EXPECT_EQ(assignment_string(ma.assignment), pin.assignment) << pin.circuit;
     EXPECT_EQ(ma.cost.area_cells(), pin.area) << pin.circuit;
   }
+}
+
+TEST(GoldenPins, MinPowerSearchOnWideCircuit) {
+  // Industry 3 (199 outputs) under Table 1's options, seeded from the
+  // annealed min-area answer: the whole §4.1 trajectory — every K-ordered
+  // pick, commit and rescore — shows in these counters.
+  const Network net = generate_benchmark(paper_spec("Industry 3"));
+  FlowSession session(net, table1_options());
+  MinPowerOptions options = session.options().minpower;
+  options.initial = session.assign(PhaseMode::kMinArea).assignment;
+  const MinPowerResult mp =
+      min_power_assignment(session.evaluator(), session.cone_overlap(), options);
+  EXPECT_EQ(mp.trials, 20099u);
+  EXPECT_EQ(mp.commits, 84u);
+  EXPECT_EQ(mp.commit_rescore_pairs, 11245u);
+  EXPECT_EQ(mp.final_power, 0x1.9318d0ddf2734p+11);  // 3224.7754964576106
+  EXPECT_EQ(assignment_string(mp.assignment),
+            "--++-++-++-++------++--+----+-+----+-----++++--+++----+-+----+--+"
+            "----+-+-++---+-+---+++++--++++--+-----+++--++-++-+---+-----+-----"
+            "-+--------++-----+++-++---+-+----+--+-+-+-+-+---+--++++-+----+-+-"
+            "-++-");
+  // The flow's own MP stage runs the same search.
+  EXPECT_EQ(session.assign(PhaseMode::kMinPower).assignment, mp.assignment);
 }
 
 }  // namespace

@@ -90,7 +90,7 @@ TEST(Mapping, CollapsesFanoutFreeTrees) {
   // Chain of three 2-input ANDs with fanout 1 -> a single AND4 cell.
   Network net;
   std::vector<NodeId> pis;
-  for (int i = 0; i < 4; ++i) pis.push_back(net.add_pi("p" + std::to_string(i)));
+  for (int i = 0; i < 4; ++i) pis.push_back(net.add_pi(std::string("p").append(std::to_string(i))));
   const NodeId g1 = net.add_and(pis[0], pis[1]);
   const NodeId g2 = net.add_and(g1, pis[2]);
   const NodeId g3 = net.add_and(g2, pis[3]);
@@ -119,7 +119,7 @@ TEST(Mapping, ArityLimitsGenerateTrees) {
   // A 10-input AND with max AND arity 4 needs a 3-cell tree.
   Network net;
   std::vector<NodeId> pis;
-  for (int i = 0; i < 10; ++i) pis.push_back(net.add_pi("p" + std::to_string(i)));
+  for (int i = 0; i < 10; ++i) pis.push_back(net.add_pi(std::string("p").append(std::to_string(i))));
   NodeId acc = pis[0];
   for (int i = 1; i < 10; ++i) acc = net.add_and(acc, pis[i]);
   net.add_po("f", acc);

@@ -132,7 +132,7 @@ Network random_network(std::uint64_t seed) {
   Rng rng(seed);
   Network net;
   std::vector<NodeId> pool = {Network::const0(), Network::const1()};
-  for (int i = 0; i < 6; ++i) pool.push_back(net.add_pi("i" + std::to_string(i)));
+  for (int i = 0; i < 6; ++i) pool.push_back(net.add_pi(std::string("i").append(std::to_string(i))));
   for (int i = 0; i < 3; ++i)
     pool.push_back(net.add_latch("s" + std::to_string(i),
                                  i == 0 ? LatchInit::kOne : LatchInit::kZero));
@@ -223,6 +223,63 @@ TEST(SimulationPlan, MatchesNaiveRecursiveEvaluation) {
   }
 }
 
+TEST(SimulationPlan, WideGatesChainThroughTheirOwnValue) {
+  // The plan compiles each gate to ops of four inputs, chaining further ops
+  // for wider gates: sweep AND/OR/XOR over every arity 1..12 (add_gate
+  // rejects 0), over a fanin pool of sources, constants, NOT chains and
+  // earlier wide gates, with latches fed back from wide gates.
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    Rng rng(seed);
+    Network net;
+    std::vector<NodeId> pool = {Network::const0(), Network::const1()};
+    for (int i = 0; i < 8; ++i) pool.push_back(net.add_pi(std::string("i").append(std::to_string(i))));
+    for (int i = 0; i < 3; ++i) pool.push_back(net.add_latch("s" + std::to_string(i)));
+    std::vector<NodeId> gates;
+    for (const NodeKind kind : {NodeKind::kAnd, NodeKind::kOr, NodeKind::kXor}) {
+      for (std::size_t arity = 1; arity <= 12; ++arity) {
+        std::vector<NodeId> fanins;
+        for (std::size_t f = 0; f < arity; ++f)
+          fanins.push_back(pool[rng.below(pool.size())]);
+        NodeId gate = net.add_gate(kind, fanins);
+        gates.push_back(gate);
+        // A NOT chain of length 0..3 on top, feeding later gates.
+        for (std::size_t n = rng.below(4); n > 0; --n) {
+          gate = net.add_not(gate);
+          gates.push_back(gate);
+        }
+        pool.push_back(gate);
+      }
+    }
+    for (std::size_t i = 0; i < gates.size(); i += 5)
+      net.add_po("o" + std::to_string(i), gates[i]);
+    for (std::size_t i = 0; i < net.num_latches(); ++i)
+      net.set_latch_input(net.latches()[i].output,
+                          gates[rng.below(gates.size())]);
+    net.validate();
+
+    const SimulationPlan plan(net);
+    std::vector<std::uint64_t> pi_words(net.num_pis());
+    std::vector<std::uint64_t> latch_words(net.num_latches());
+    std::vector<std::uint64_t> values(net.num_nodes(), 0xdeadbeefULL);
+    for (int word = 0; word < 8; ++word) {
+      // Dense, sparse and uniform words, so wide ANDs and ORs see both
+      // outcomes in some lanes.
+      for (auto& w : pi_words)
+        w = word % 3 == 0 ? rng.next()
+            : word % 3 == 1 ? rng.next() | rng.next() | rng.next()
+                            : rng.next() & rng.next() & rng.next();
+      for (auto& w : latch_words) w = rng.next();
+      plan.run(pi_words, latch_words, values);
+      std::vector<std::optional<std::uint64_t>> memo(net.num_nodes());
+      for (NodeId id = 0; id < net.num_nodes(); ++id)
+        ASSERT_EQ(values[id], naive_value(net, id, pi_words, latch_words, memo))
+            << "seed " << seed << " word " << word << " node " << id << " ("
+            << to_string(net.kind(id)) << '/' << net.fanins(id).size() << ')';
+      EXPECT_EQ(net.simulate(pi_words, latch_words), values);
+    }
+  }
+}
+
 TEST(SimulationPlan, RejectsMismatchedWordCounts) {
   const Network net = random_network(3);
   const SimulationPlan plan(net);
@@ -279,6 +336,79 @@ TEST(ConeOverlap, DisjointConesHaveZeroOverlap) {
   net.add_po("g", net.add_not(b));
   const ConeOverlap overlap(net);
   EXPECT_DOUBLE_EQ(overlap.overlap(0, 1), 0.0);
+}
+
+/// Test-local reference: |A ∩ B| of two sorted id lists by a merge.
+std::size_t merged_intersection(const std::vector<NodeId>& a,
+                                const std::vector<NodeId>& b) {
+  std::size_t count = 0;
+  for (std::size_t ia = 0, ib = 0; ia < a.size() && ib < b.size();) {
+    if (a[ia] < b[ib]) {
+      ++ia;
+    } else if (b[ib] < a[ia]) {
+      ++ib;
+    } else {
+      ++count;
+      ++ia;
+      ++ib;
+    }
+  }
+  return count;
+}
+
+TEST(ConeOverlap, PairTableMatchesSortedMerge) {
+  // Random networks with 0..40 outputs over a few hundred gates, so cones
+  // span many bitset words; some outputs are driven by a PI or a constant
+  // (empty cones), and some share a driver.
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    Rng rng(seed);
+    Network net;
+    std::vector<NodeId> pool;
+    for (int i = 0; i < 10; ++i) pool.push_back(net.add_pi(std::string("i").append(std::to_string(i))));
+    const std::size_t num_sources = pool.size();
+    const NodeKind kinds[] = {NodeKind::kAnd, NodeKind::kOr, NodeKind::kNot};
+    for (int g = 0; g < 300; ++g) {
+      const NodeKind kind = kinds[rng.below(3)];
+      const std::size_t arity = kind == NodeKind::kNot ? 1 : 2 + rng.below(2);
+      std::vector<NodeId> fanins;
+      for (std::size_t f = 0; f < arity; ++f) {
+        // Mostly recent nodes, so cones stay partial and overlap unevenly.
+        const std::size_t window = std::min<std::size_t>(pool.size(), 40);
+        fanins.push_back(pool[pool.size() - 1 - rng.below(window)]);
+      }
+      pool.push_back(net.add_gate(kind, fanins));
+    }
+    const std::size_t num_pos = seed == 1 ? 0 : seed == 2 ? 1 : 4 * seed;
+    for (std::size_t i = 0; i < num_pos; ++i) {
+      NodeId driver = pool[num_sources + rng.below(pool.size() - num_sources)];
+      if (i % 7 == 3) driver = pool[rng.below(num_sources)];  // PI: empty cone
+      if (i % 11 == 5) driver = Network::const1();             // empty cone
+      if (i % 5 == 4) driver = net.pos()[i - 1].driver;        // shared driver
+      net.add_po("o" + std::to_string(i), driver);
+    }
+
+    const ConeOverlap overlap(net);
+    ASSERT_EQ(overlap.num_outputs(), num_pos);
+    for (std::size_t i = 0; i < num_pos; ++i) {
+      const auto cone_i = net.tfi_gates(net.pos()[i].driver);
+      ASSERT_EQ(overlap.cone(i), cone_i);
+      ASSERT_EQ(overlap.cone_size(i), cone_i.size());
+      for (std::size_t j = 0; j < num_pos; ++j) {
+        const auto cone_j = net.tfi_gates(net.pos()[j].driver);
+        const std::size_t inter = merged_intersection(cone_i, cone_j);
+        ASSERT_EQ(overlap.intersection(i, j), inter)
+            << "seed " << seed << " pair " << i << ',' << j;
+        const std::size_t denom = cone_i.size() + cone_j.size();
+        const double expected =
+            denom == 0 ? 0.0
+                       : static_cast<double>(inter) / static_cast<double>(denom);
+        ASSERT_EQ(overlap.overlap(i, j), expected)
+            << "seed " << seed << " pair " << i << ',' << j;
+      }
+    }
+    EXPECT_THROW((void)overlap.intersection(0, num_pos), std::out_of_range);
+    EXPECT_THROW((void)overlap.overlap(num_pos, 0), std::out_of_range);
+  }
 }
 
 TEST(NetworkStats, CountsPerKind) {
