@@ -2,8 +2,9 @@
 /// Ablation of the §4.2.2 variable-ordering heuristic: shared BDD node
 /// counts and build time for the paper's reverse-topological order vs
 /// natural, plain topological and random orders, across the benchmark suite
-/// at several sizes.  This isolates the design choice DESIGN.md calls out:
-/// "reverse first-visit order + fan-out-cone tie-break".
+/// at several sizes.  This isolates the design choice README's "Provenance
+/// and caveats" calls out: reverse first-visit order + fan-out-cone
+/// tie-break.
 
 #include <algorithm>
 #include <cmath>

@@ -3,10 +3,10 @@
 /// g = (a+b)·(c·d)) under PI probability 0.9, comparing the switching of the
 /// positive-phase realization against the all-negative dual.
 ///
-/// Exact paper numbers reconstructed (see DESIGN.md §6): positive block
-/// gates switch .99 + .81 + .9981 + .8019 = 3.6 per cycle; the dual block
-/// .01 + .19 + .0019 + .1981 = 0.40 with 4 × .18 = 0.72 of input-inverter
-/// switching.  The paper quotes "75% fewer transitions" overall; our
+/// Exact paper numbers reconstructed (see README, "Provenance and
+/// caveats"): positive block gates switch .99 + .81 + .9981 + .8019 = 3.6
+/// per cycle; the dual block .01 + .19 + .0019 + .1981 = 0.40 with
+/// 4 × .18 = 0.72 of input-inverter switching.  The paper quotes "75% fewer transitions" overall; our
 /// boundary-inverter conventions are printed component-wise.
 
 #include <iostream>

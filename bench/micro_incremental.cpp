@@ -29,18 +29,6 @@
 /// number is checked bit-identical against its scalar twin before it is
 /// reported.
 ///
-/// The distributed_search section measures the coordinator/worker fabric
-/// (docs/distributed.md) over a TCP loopback: a calibrated branch-and-bound
-/// job served by one vs two single-threaded DistWorker fleets, with every
-/// distributed result verified bit-identical to the local search before the
-/// speedup is reported.  speedup_2w is the scaling headline bench_trend.py
-/// gates.
-///
-/// The journal_replay section measures the durability layer's boot path
-/// (docs/robustness.md): a synthetic checkpoint log of crashed distributed
-/// jobs replayed through CheckpointLog construction — records_per_second is
-/// what bench_trend.py gates.
-///
 /// The flow_stages section times the cold Table 1 flow of one paper circuit
 /// (Industry 2, bench_table1's options) stage by stage on fresh
 /// FlowSessions — the per-stage ms bench_trend.py gates, so a slowdown in
@@ -66,11 +54,8 @@
 ///   --lanes      batched-evaluator lane width: 0 = auto (default), 1 =
 ///                scalar engines, up to kMaxEvalBatchLanes
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <cstdint>
-#include <cstdio>
 #include <cstdlib>
 #include <iostream>
 #include <limits>
@@ -83,22 +68,16 @@
 
 #include "bdd/netbdd.hpp"
 #include "benchgen/benchgen.hpp"
-#include "dist/checkpoint.hpp"
-#include "dist/search.hpp"
-#include "dist/worker.hpp"
 #include "flow/batch.hpp"
 #include "flow/session.hpp"
-#include "network/synth.hpp"
 #include "obs/trace.hpp"
 #include "phase/assignment.hpp"
 #include "phase/eval.hpp"
 #include "phase/eval_batch.hpp"
 #include "phase/search.hpp"
 #include "server/core.hpp"
-#include "server/transport.hpp"
 #include "sgraph/partition.hpp"
 #include "util/cli.hpp"
-#include "util/journal.hpp"
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
 #include "util/thread_pool.hpp"
@@ -784,134 +763,6 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // -- distributed search fabric: 1 vs 2 TCP-loopback workers ----------------
-  // Calibration first: climb the output count until the local single-thread
-  // branch-and-bound takes >= 0.3 s of real search — below that the lease
-  // round trips dominate and the "speedup" would measure protocol overhead,
-  // not the fabric.  Workers rebuild their evaluator from the generator spec
-  // exactly like a remote `dominod --worker` process, and every distributed
-  // result is checked bit-identical (deterministic mode: counters included)
-  // against the local reference before any number is reported.
-  struct DistPrepared {
-    Network net;
-    std::unique_ptr<AssignmentEvaluator> evaluator;
-  };
-  const auto prepare_dist = [&](std::size_t pos) {
-    BenchSpec spec;
-    spec.name = "dist" + std::to_string(pos);
-    spec.num_pis = 24;
-    spec.num_pos = pos;
-    // Big cones on purpose: the admissible bound prunes the tree to
-    // near-linear size on this family, so the calibrated runtime has to come
-    // from per-node evaluation cost, not node count.
-    spec.gate_target = 12000;
-    spec.seed = 77;
-    auto prepared = std::make_unique<DistPrepared>();
-    // The worker-side preparation (FlowSession's own): compact copy,
-    // standard synthesis, sequential probabilities.
-    Network dist_net = compact_copy(generate_benchmark(spec));
-    try {
-      check_phase_ready(dist_net);
-    } catch (const std::runtime_error&) {
-      standard_synthesis(dist_net);
-    }
-    prepared->net = std::move(dist_net);
-    const SeqProbResult probs = sequential_signal_probabilities(
-        prepared->net, std::vector<double>(prepared->net.num_pis(), 0.5), {});
-    prepared->evaluator = std::make_unique<AssignmentEvaluator>(
-        prepared->net, probs.node_probs, default_flow_power_model());
-    return std::make_pair(spec, std::move(prepared));
-  };
-
-  constexpr double kDistCalibrationSeconds = 0.3;
-  BenchSpec dist_spec;
-  std::unique_ptr<DistPrepared> dist_prepared;
-  SearchResult dist_reference;
-  double dist_local_seconds = 0.0;
-  ExhaustiveOptions dist_search_options;
-  dist_search_options.num_threads = 1;
-  dist_search_options.batch_lanes = requested_lanes;
-  dist_search_options.max_outputs = 34;  // let the climb pass the default 24
-  for (const std::size_t pos : {24u, 26u, 28u, 30u, 32u}) {
-    auto [spec, prepared] = prepare_dist(pos);
-    stopwatch.restart();
-    const SearchResult local =
-        exhaustive_min_power(*prepared->evaluator, dist_search_options);
-    dist_local_seconds = stopwatch.seconds();
-    dist_spec = spec;
-    dist_prepared = std::move(prepared);
-    dist_reference = local;
-    if (dist_local_seconds >= kDistCalibrationSeconds) break;
-  }
-
-  constexpr std::size_t kDistFrontier = 6;
-  double dist_worker_seconds[3] = {0.0, 0.0, 0.0};  // [workers]
-  SearchResult dist_timed[3];
-  for (const unsigned dist_workers : {1u, 2u}) {
-    ServerCore dist_core(ServerConfig{});
-    TransportConfig dist_transport;  // ephemeral TCP loopback
-    SocketServer dist_server(dist_core, dist_transport);
-    std::vector<std::unique_ptr<dist::DistWorker>> fleet;
-    for (unsigned w = 0; w < dist_workers; ++w) {
-      dist::WorkerConfig worker_config;
-      worker_config.port = dist_server.port();
-      worker_config.num_threads = 1;
-      worker_config.idle_poll_ms = 2;
-      worker_config.name = "bench" + std::to_string(w);
-      fleet.push_back(std::make_unique<dist::DistWorker>(worker_config));
-      fleet.back()->start();
-    }
-
-    dist::DistSearchOptions dist_options;
-    dist_options.enabled = true;
-    dist_options.coordinator = &dist_core.coordinator();
-    dist_options.frontier_depth = kDistFrontier;
-    dist_options.participate = false;  // the fabric does all the work
-    dist_options.stall_takeover_ms = 60'000;
-    dist_options.circuit.has_bench = true;
-    dist_options.circuit.bench = dist_spec;
-
-    // Warm-up run: each worker synthesizes + caches its evaluator once.
-    const SearchResult warm = dist::dist_exhaustive_search(
-        *dist_prepared->evaluator, true, dist_search_options, dist_options);
-    stopwatch.restart();
-    const SearchResult timed = dist::dist_exhaustive_search(
-        *dist_prepared->evaluator, true, dist_search_options, dist_options);
-    dist_worker_seconds[dist_workers] = stopwatch.seconds();
-    dist_timed[dist_workers] = timed;
-
-    // The answer must match the local search bit-for-bit; the work counters
-    // follow the per-unit pruning schedule, so they are compared across
-    // worker counts below rather than against the undivided local search.
-    for (const SearchResult* got : {&warm, &timed}) {
-      if (got->assignment != dist_reference.assignment ||
-          got->cost.power.total() != dist_reference.cost.power.total()) {
-        std::cerr << "FATAL: distributed search diverged from the local "
-                     "reference at "
-                  << dist_workers << " worker(s)\n";
-        return 1;
-      }
-    }
-    for (auto& dist_worker : fleet) {
-      if (dist_worker->telemetry().units_failed != 0) {
-        std::cerr << "FATAL: distributed worker reported failed units\n";
-        return 1;
-      }
-      dist_worker->stop();
-    }
-    dist_server.stop();
-    dist_core.shutdown();
-  }
-  // Deterministic mode: the same frontier split must produce the same work
-  // regardless of how many workers raced over it.
-  if (dist_timed[1].evaluations != dist_timed[2].evaluations ||
-      dist_timed[1].nodes_expanded != dist_timed[2].nodes_expanded ||
-      dist_timed[1].subtrees_pruned != dist_timed[2].subtrees_pruned) {
-    std::cerr << "FATAL: distributed work counters differ between 1 and 2 "
-                 "workers\n";
-    return 1;
-  }
-
   // -- tracing overhead -------------------------------------------------------
   // The §4.1 sequential commit-path search re-run with spans runtime-enabled
   // vs runtime-disabled, arms interleaved, best-of-9 wall times compared
@@ -947,79 +798,6 @@ int main(int argc, char** argv) {
     std::cerr << "FATAL: traced arm recorded no spans\n";
     return 1;
   }
-
-  // -- journal replay ---------------------------------------------------------
-  // Boot cost of the durability layer (docs/robustness.md): a synthetic
-  // checkpoint log of in-flight distributed jobs — the state a crashed
-  // daemon leaves behind — replayed through the full CheckpointLog
-  // construction path (scan, CRC checks, codec decode, compaction),
-  // best-of-3.  A restarted daemon pays exactly this before it can serve.
-  constexpr std::size_t kJournalJobs = 48;
-  constexpr std::size_t kJournalUnitsPerJob = 32;
-  char journal_template[] = "/tmp/dominosyn_bench_journal_XXXXXX";
-  if (::mkdtemp(journal_template) == nullptr) {
-    std::cerr << "FATAL: cannot create journal scratch dir\n";
-    return 1;
-  }
-  const std::string journal_dir = journal_template;
-  {
-    dist::checkpoint::CheckpointLog::Options seed_options;
-    // Keep every record in the journal (no mid-seed compaction) so the
-    // timed replay reads the worst-case append-only history.
-    seed_options.compact_after_records =
-        std::numeric_limits<std::uint64_t>::max();
-    seed_options.keep_finished = kJournalJobs;
-    dist::checkpoint::CheckpointLog log(journal_dir, seed_options);
-    for (std::size_t j = 1; j <= kJournalJobs; ++j) {
-      std::vector<dist::WorkUnit> units(kJournalUnitsPerJob);
-      for (std::size_t u = 0; u < units.size(); ++u) {
-        dist::WorkUnit& unit = units[u];
-        unit.job_id = j;
-        unit.unit_id = u;
-        unit.kind = dist::UnitKind::kBnbSubtree;
-        unit.by_power = true;
-        unit.task = (j << 10) | u;
-        unit.frontier_depth = 5;
-        unit.bound_snapshot = 100.0 + static_cast<double>(j);
-        unit.node_budget = 1 << 16;
-        unit.batch_lanes = 8;
-        unit.circuit.corpus = "x1";
-        unit.circuit.fingerprint = 0x1234 + j;
-      }
-      log.record_open(j, "bench-rid-" + std::to_string(j), 30'000, units);
-      for (std::size_t u = 0; u < units.size(); ++u) {
-        dist::UnitResult result;
-        result.job_id = j;
-        result.unit_id = u;
-        result.metric = 90.0 + static_cast<double>(u);
-        result.code = u;
-        result.leaves = u;
-        result.nodes_expanded = u * 3;
-        log.record_complete(result);
-      }
-      if (j % 4 == 0) log.record_finish(j, /*failed=*/false);
-    }
-    log.sync();
-  }
-  const std::uint64_t journal_bytes =
-      journal::scan_file(journal_dir + "/journal.djl").valid_bytes;
-  double replay_seconds = std::numeric_limits<double>::infinity();
-  dist::checkpoint::ReplayStats replay_stats;
-  for (int rep = 0; rep < 3; ++rep) {
-    stopwatch.restart();
-    dist::checkpoint::CheckpointLog log(journal_dir);
-    replay_seconds = std::min(replay_seconds, stopwatch.seconds());
-    replay_stats = log.replay_stats();
-    if (replay_stats.completed_units !=
-            kJournalJobs * kJournalUnitsPerJob ||
-        replay_stats.torn_tail) {
-      std::cerr << "FATAL: journal replay lost records\n";
-      return 1;
-    }
-  }
-  std::remove((journal_dir + "/journal.djl").c_str());
-  std::remove((journal_dir + "/snapshot.djl").c_str());
-  ::rmdir(journal_dir.c_str());
 
   // -- flow stages ------------------------------------------------------------
   // The cold Table 1 flow of Industry 2 (a sequential block on the sampled
@@ -1268,24 +1046,6 @@ int main(int argc, char** argv) {
             << "    \"speedup_hot\": " << cold_wave.seconds / hot_wave.seconds
             << "\n"
             << "  },\n"
-            << "  \"distributed_search\": {\n"
-            << "    \"circuit\": {\"name\": \"" << dist_spec.name
-            << "\", \"gates\": " << dist_prepared->net.num_gates()
-            << ", \"pos\": " << dist_spec.num_pos << "},\n"
-            << "    \"frontier_depth\": " << kDistFrontier << ",\n"
-            << "    \"units\": " << (1ULL << kDistFrontier) << ",\n"
-            << "    \"hardware_threads\": "
-            << std::thread::hardware_concurrency() << ",\n"
-            << "    \"local_seconds\": " << dist_local_seconds << ",\n"
-            << "    \"one_worker_seconds\": " << dist_worker_seconds[1]
-            << ",\n"
-            << "    \"two_worker_seconds\": " << dist_worker_seconds[2]
-            << ",\n"
-            << "    \"fabric_overhead_1w\": "
-            << dist_worker_seconds[1] / dist_local_seconds << ",\n"
-            << "    \"speedup_2w\": "
-            << dist_worker_seconds[1] / dist_worker_seconds[2] << "\n"
-            << "  },\n"
             << "  \"tracing_overhead\": {\n"
             << "    \"workload\": \"commit_path\",\n"
             << "    \"compiled_out\": "
@@ -1309,16 +1069,6 @@ int main(int argc, char** argv) {
             << "    \"total_ms\": " << flow_best.total * 1e3 << ",\n"
             << "    \"wide_circuit\": \"Industry 3\",\n"
             << "    \"assign_mp_wide_ms\": " << flow_best.assign_mp_wide * 1e3
-            << "\n"
-            << "  },\n"
-            << "  \"journal_replay\": {\n"
-            << "    \"jobs\": " << kJournalJobs << ",\n"
-            << "    \"units_per_job\": " << kJournalUnitsPerJob << ",\n"
-            << "    \"records\": " << replay_stats.records << ",\n"
-            << "    \"journal_bytes\": " << journal_bytes << ",\n"
-            << "    \"replay_seconds\": " << replay_seconds << ",\n"
-            << "    \"records_per_second\": "
-            << static_cast<double>(replay_stats.records) / replay_seconds
             << "\n"
             << "  }\n"
             << "}\n";

@@ -34,7 +34,8 @@ int main(int argc, char** argv) {
   if (!threads) return 2;
 
   std::cout << "=== Table 1: synthesis at PI signal probability 0.5 ===\n"
-            << "(stand-in circuits; paper's PI/PO counts; see DESIGN.md)\n\n";
+            << "(stand-in circuits; paper's PI/PO counts; see README, "
+               "Provenance and caveats)\n\n";
 
   FlowOptions options;
   options.pi_prob = 0.5;

@@ -5,8 +5,8 @@
 /// proprietary Intel control blocks.  Neither is shippable in this offline
 /// reproduction, so we generate *stand-ins* with the PI/PO counts printed in
 /// the paper's tables and comparable gate counts / cone-overlap structure
-/// (see DESIGN.md §4 substitutions).  The BLIF front end accepts the real
-/// MCNC files unchanged if the user supplies them.
+/// (see README, "Provenance and caveats").  The BLIF front end accepts the
+/// real MCNC files unchanged if the user supplies them.
 ///
 /// Also provides the exact example circuits of Figures 3, 5 and 10, used by
 /// the corresponding benches and tests.

@@ -10,7 +10,6 @@
 
 #include <string>
 
-#include "dist/options.hpp"
 #include "mapping/mapper.hpp"
 #include "network/network.hpp"
 #include "phase/search.hpp"
@@ -81,12 +80,6 @@ struct FlowOptions {
   SimPowerOptions sim;           ///< measurement settings
   bool count_clock_load = true;  ///< add mapped clock-pin energy to sim power
   bool verify_equivalence = true;///< random-simulation check domino vs original
-  /// Distributed search fabric (docs/distributed.md): when enabled with a
-  /// coordinator, the exhaustive and annealing searches fan work units out to
-  /// connected workers — with results bit-identical to a local run, so this
-  /// is excluded from the session's stage-invalidation equality like the
-  /// thread counts are.
-  dist::DistSearchOptions dist;
 };
 
 struct FlowReport {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "dist/search.hpp"
 #include "network/synth.hpp"
 #include "obs/trace.hpp"
 #include "util/stopwatch.hpp"
@@ -16,10 +15,7 @@ namespace {
 // Each stage is invalidated iff one of *its* inputs changed.  Thread counts
 // are deliberately excluded everywhere: searches are deterministic in the
 // seed and independent of the thread count, so re-running them for a
-// num_threads change would only waste the cache.  FlowOptions::dist is
-// excluded for the same reason — the distributed searches merge to results
-// bit-identical to a local run (docs/distributed.md), so toggling the fabric
-// or its topology must not invalidate cached assignments.
+// num_threads change would only waste the cache.
 
 bool same_penalty(const GateTypePenalty& a, const GateTypePenalty& b) {
   return a.and_mult == b.and_mult && a.or_mult == b.or_mult &&
@@ -210,11 +206,6 @@ const FlowSession::AssignStage& FlowSession::assign(PhaseMode mode) {
 
   AssignStage stage;
   stage.mode = mode;
-  // Distributed fabric available?  Every dist call is wrapped so a fabric
-  // failure (no workers, cancelled by shutdown, failed unit) falls back to
-  // the identical-result local search instead of failing the flow.
-  const bool dist_ready =
-      options_.dist.enabled && options_.dist.coordinator != nullptr;
   const auto copy_search_telemetry = [&stage](const SearchResult& search) {
     stage.search_evaluations = search.evaluations;
     stage.search_nodes_expanded = search.nodes_expanded;
@@ -229,16 +220,7 @@ const FlowSession::AssignStage& FlowSession::assign(PhaseMode mode) {
       stage.search_evaluations = 0;
       break;
     case PhaseMode::kMinArea: {
-      SearchResult search;
-      if (dist_ready) {
-        try {
-          search = dist::dist_min_area_assignment(eval, minarea, options_.dist);
-        } catch (const dist::DistSearchError&) {
-          search = min_area_assignment(eval, minarea);
-        }
-      } else {
-        search = min_area_assignment(eval, minarea);
-      }
+      const SearchResult search = min_area_assignment(eval, minarea);
       stage.assignment = search.assignment;
       copy_search_telemetry(search);
       break;
@@ -255,17 +237,7 @@ const FlowSession::AssignStage& FlowSession::assign(PhaseMode mode) {
         exhaustive.num_threads = options_.num_threads;
         exhaustive.node_budget = options_.exhaustive_node_budget;
         try {
-          SearchResult search;
-          if (dist_ready) {
-            try {
-              search = dist::dist_exhaustive_search(eval, /*by_power=*/true,
-                                                    exhaustive, options_.dist);
-            } catch (const dist::DistSearchError&) {
-              search = exhaustive_min_power(eval, exhaustive);
-            }
-          } else {
-            search = exhaustive_min_power(eval, exhaustive);
-          }
+          const SearchResult search = exhaustive_min_power(eval, exhaustive);
           stage.assignment = search.assignment;
           copy_search_telemetry(search);
           assigned_exactly = true;
@@ -306,17 +278,7 @@ const FlowSession::AssignStage& FlowSession::assign(PhaseMode mode) {
       exhaustive.num_threads = options_.num_threads;
       // Explicitly-requested exact search runs unbudgeted: a silent
       // heuristic fallback would betray the mode's contract.
-      SearchResult search;
-      if (dist_ready) {
-        try {
-          search = dist::dist_exhaustive_search(eval, /*by_power=*/true,
-                                                exhaustive, options_.dist);
-        } catch (const dist::DistSearchError&) {
-          search = exhaustive_min_power(eval, exhaustive);
-        }
-      } else {
-        search = exhaustive_min_power(eval, exhaustive);
-      }
+      const SearchResult search = exhaustive_min_power(eval, exhaustive);
       stage.assignment = search.assignment;
       copy_search_telemetry(search);
       break;

@@ -1,10 +1,10 @@
 /// \file library.hpp
 /// Generic domino standard-cell library — the reproduction's stand-in for the
-/// proprietary Intel library of §5 (see DESIGN.md substitutions).  Values
-/// follow textbook ratios (Weste & Eshraghian): series-stacked domino ANDs
-/// are slower than parallel ORs, wider gates cost area and input capacitance,
-/// and each cell comes in three drive sizes (X1/X2/X4) for the timing-driven
-/// resizing flow of Table 2.
+/// proprietary Intel library of §5 (see README, "Provenance and caveats").
+/// Values follow textbook ratios (Weste & Eshraghian): series-stacked domino
+/// ANDs are slower than parallel ORs, wider gates cost area and input
+/// capacitance, and each cell comes in three drive sizes (X1/X2/X4) for the
+/// timing-driven resizing flow of Table 2.
 
 #pragma once
 

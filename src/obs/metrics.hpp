@@ -8,8 +8,8 @@
 ///     allocation, safe from any thread, and cheap enough for the §4.1
 ///     commit loop;
 ///   * snapshots are mergeable and deterministic: a histogram snapshot is a
-///     plain bucket-count vector, worker→coordinator aggregation is
-///     element-wise addition and therefore order-independent;
+///     plain bucket-count vector, and aggregating snapshots is element-wise
+///     addition and therefore order-independent;
 ///   * quantiles are *exact over the bucketing*: `Histogram::quantile(q)`
 ///     returns the lower bound of the bucket holding the rank-⌈q·count⌉
 ///     sample, so the same snapshot always yields the same p50/p95/p99 and a
@@ -98,7 +98,7 @@ struct HistogramSnapshot {
   std::array<std::uint64_t, kBuckets> buckets{};
 
   /// Element-wise addition — associative and commutative, so aggregating
-  /// worker snapshots into a coordinator snapshot is order-independent.
+  /// snapshots is order-independent.
   HistogramSnapshot& merge(const HistogramSnapshot& other) noexcept;
 
   /// Lower bound of the bucket holding the rank-⌈q·count⌉ sample (rank
@@ -193,8 +193,8 @@ class MetricsRegistry {
 };
 
 /// Renders an already-taken snapshot as Prometheus text (the registry's
-/// prometheus() is snapshot() + this; exposed so remote-merged snapshots can
-/// render the same way).
+/// prometheus() is snapshot() + this; exposed so merged snapshots can render
+/// the same way).
 [[nodiscard]] std::string to_prometheus(const MetricsSnapshot& snapshot);
 
 }  // namespace dominosyn::obs

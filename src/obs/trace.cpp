@@ -4,11 +4,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <charconv>
 #include <chrono>
 #include <cstring>
-#include <deque>
-#include <map>
 #include <memory>
 #include <mutex>
 
@@ -20,86 +17,8 @@ std::string_view span_cat_name(SpanCat cat) noexcept {
     case SpanCat::kFlow: return "flow";
     case SpanCat::kSearch: return "search";
     case SpanCat::kBatch: return "batch";
-    case SpanCat::kDist: return "dist";
   }
   return "unknown";
-}
-
-// ---------------------------------------------------------------------------
-// Wire codec — always compiled (see header).
-
-namespace {
-
-/// Span names are library-chosen literals, but sanitize defensively: the
-/// wire token must not contain the field separators, '=', or whitespace.
-bool wire_safe(char c) noexcept {
-  return c != ',' && c != ';' && c != '=' && c != ' ' && c != '\t' &&
-         c != '\n' && c != '\r' && c != '\0';
-}
-
-}  // namespace
-
-std::string spans_to_wire(const std::vector<TraceEvent>& events) {
-  std::string out;
-  out.reserve(events.size() * 48);
-  for (const TraceEvent& event : events) {
-    if (!out.empty()) out += ';';
-    for (const char* p = event.name; *p != '\0'; ++p)
-      out += wire_safe(*p) ? *p : '_';
-    out += ',';
-    out += std::to_string(event.cat);
-    out += ',';
-    out += std::to_string(event.trace_id);
-    out += ',';
-    out += std::to_string(event.start_us);
-    out += ',';
-    out += std::to_string(event.dur_us);
-    out += ',';
-    out += std::to_string(event.tid);
-  }
-  return out;
-}
-
-namespace {
-
-template <typename T>
-bool parse_u(std::string_view text, T& out) {
-  const auto [ptr, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), out);
-  return ec == std::errc() && ptr == text.data() + text.size();
-}
-
-}  // namespace
-
-std::vector<TraceEvent> spans_from_wire(std::string_view wire) {
-  std::vector<TraceEvent> events;
-  while (!wire.empty()) {
-    const std::size_t end = wire.find(';');
-    std::string_view token = wire.substr(0, end);
-    wire = end == std::string_view::npos ? std::string_view{}
-                                         : wire.substr(end + 1);
-    TraceEvent event;
-    std::array<std::string_view, 6> fields;
-    std::size_t count = 0;
-    while (count < fields.size()) {
-      const std::size_t comma = token.find(',');
-      fields[count++] = token.substr(0, comma);
-      if (comma == std::string_view::npos) break;
-      token = token.substr(comma + 1);
-    }
-    if (count != 6) continue;  // malformed span: drop, never fail the verb
-    std::uint64_t cat = 0;
-    if (!parse_u(fields[1], cat) || cat >= kNumSpanCats ||
-        !parse_u(fields[2], event.trace_id) ||
-        !parse_u(fields[3], event.start_us) ||
-        !parse_u(fields[4], event.dur_us) || !parse_u(fields[5], event.tid))
-      continue;
-    event.cat = static_cast<std::uint8_t>(cat);
-    const std::size_t len = std::min(fields[0].size(), sizeof(event.name) - 1);
-    std::memcpy(event.name, fields[0].data(), len);
-    events.push_back(event);
-  }
-  return events;
 }
 
 #ifndef DOMINOSYN_NO_TRACING
@@ -110,7 +29,6 @@ std::vector<TraceEvent> spans_from_wire(std::string_view wire) {
 namespace {
 
 constexpr std::size_t kRingCapacity = 4096;  ///< events kept per thread
-constexpr std::size_t kRemoteCapacity = 1 << 16;
 /// chrome_trace_json stays under the protocol's 1 MiB line cap: keep the
 /// newest events whose rendered size fits in ~900 KiB.
 constexpr std::size_t kDumpBudgetBytes = 900 * 1024;
@@ -151,11 +69,6 @@ struct ThreadRing {
   }
 };
 
-struct RemoteEvent {
-  std::uint32_t pid = 0;
-  TraceEvent event;
-};
-
 struct Collector {
   std::atomic<bool> enabled{true};
   std::atomic<std::uint64_t> next_trace_id{1};
@@ -164,11 +77,6 @@ struct Collector {
 
   std::mutex rings_mutex;
   std::vector<std::shared_ptr<ThreadRing>> rings;
-
-  std::mutex remote_mutex;
-  std::deque<RemoteEvent> remote;
-  std::map<std::string, std::uint32_t> remote_pids;
-  std::uint32_t next_pid = 2;  ///< pid 1 = this process
 
   static Collector& instance() {
     static Collector collector;
@@ -266,79 +174,42 @@ std::vector<TraceEvent> thread_events_since(std::uint64_t mark) {
   return thread_ring().since(mark);
 }
 
-void record_remote(const std::string& process,
-                   const std::vector<TraceEvent>& events) {
-  if (events.empty()) return;
-  Collector& collector = Collector::instance();
-  const std::lock_guard<std::mutex> lock(collector.remote_mutex);
-  const auto [it, inserted] =
-      collector.remote_pids.try_emplace(process, collector.next_pid);
-  if (inserted) ++collector.next_pid;
-  for (const TraceEvent& event : events) {
-    if (event.cat < kNumSpanCats)
-      collector.cat_counts[event.cat].fetch_add(1, std::memory_order_relaxed);
-    collector.remote.push_back({it->second, event});
-  }
-  while (collector.remote.size() > kRemoteCapacity)
-    collector.remote.pop_front();
-}
-
 std::string chrome_trace_json() {
   Collector& collector = Collector::instance();
 
-  std::vector<RemoteEvent> all;
+  std::vector<TraceEvent> all;
   {
     const std::lock_guard<std::mutex> lock(collector.rings_mutex);
-    for (const auto& ring : collector.rings)
-      for (const TraceEvent& event : ring->since(0))
-        all.push_back({1, event});
+    for (const auto& ring : collector.rings) {
+      const std::vector<TraceEvent> events = ring->since(0);
+      all.insert(all.end(), events.begin(), events.end());
+    }
   }
-  std::vector<std::pair<std::uint32_t, std::string>> processes;
-  processes.emplace_back(1, "dominod");
-  {
-    const std::lock_guard<std::mutex> lock(collector.remote_mutex);
-    all.insert(all.end(), collector.remote.begin(), collector.remote.end());
-    for (const auto& [name, pid] : collector.remote_pids)
-      processes.emplace_back(pid, name);
-  }
-
   std::sort(all.begin(), all.end(),
-            [](const RemoteEvent& a, const RemoteEvent& b) {
-              return a.event.start_us < b.event.start_us;
+            [](const TraceEvent& a, const TraceEvent& b) {
+              return a.start_us < b.start_us;
             });
   const std::size_t budget = kDumpBudgetBytes / kDumpBytesPerEvent;
   if (all.size() > budget)
     all.erase(all.begin(), all.end() - static_cast<std::ptrdiff_t>(budget));
 
-  std::string out = "{\"traceEvents\":[";
-  bool first = true;
-  for (const auto& [pid, name] : processes) {
-    if (!first) out += ',';
-    first = false;
-    out += "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":";
-    out += std::to_string(pid);
-    out += ",\"tid\":0,\"args\":{\"name\":\"";
-    json_escape_into(out, name);
-    out += "\"}}";
-  }
-  for (const RemoteEvent& entry : all) {
-    if (!first) out += ',';
-    first = false;
-    out += "{\"name\":\"";
-    json_escape_into(out, entry.event.name);
+  std::string out =
+      "{\"traceEvents\":[{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,"
+      "\"tid\":0,\"args\":{\"name\":\"dominod\"}}";
+  for (const TraceEvent& event : all) {
+    out += ",{\"name\":\"";
+    json_escape_into(out, event.name);
     out += "\",\"cat\":\"";
-    out += span_cat_name(static_cast<SpanCat>(
-        entry.event.cat < kNumSpanCats ? entry.event.cat : 0));
+    out += span_cat_name(
+        static_cast<SpanCat>(event.cat < kNumSpanCats ? event.cat : 0));
     out += "\",\"ph\":\"X\",\"ts\":";
-    out += std::to_string(entry.event.start_us);
+    out += std::to_string(event.start_us);
     out += ",\"dur\":";
-    out += std::to_string(entry.event.dur_us);
-    out += ",\"pid\":";
-    out += std::to_string(entry.pid);
-    out += ",\"tid\":";
-    out += std::to_string(entry.event.tid);
+    out += std::to_string(event.dur_us);
+    out += ",\"pid\":1,\"tid\":";
+    out += std::to_string(event.tid);
     out += ",\"args\":{\"trace_id\":";
-    out += std::to_string(entry.event.trace_id);
+    out += std::to_string(event.trace_id);
     out += "}}";
   }
   out += "]}";
@@ -361,15 +232,11 @@ std::uint64_t total_spans() noexcept {
 
 void clear_events() {
   Collector& collector = Collector::instance();
-  {
-    const std::lock_guard<std::mutex> lock(collector.rings_mutex);
-    for (const auto& ring : collector.rings) {
-      const std::lock_guard<std::mutex> ring_lock(ring->mutex);
-      ring->pushed = 0;
-    }
+  const std::lock_guard<std::mutex> lock(collector.rings_mutex);
+  for (const auto& ring : collector.rings) {
+    const std::lock_guard<std::mutex> ring_lock(ring->mutex);
+    ring->pushed = 0;
   }
-  const std::lock_guard<std::mutex> lock(collector.remote_mutex);
-  collector.remote.clear();
 }
 
 #endif  // DOMINOSYN_NO_TRACING

@@ -29,7 +29,6 @@
 #include <string>
 #include <unordered_map>
 
-#include "obs/trace.hpp"
 #include "phase/eval.hpp"
 #include "phase/eval_batch.hpp"
 #include "phase/search.hpp"
@@ -304,23 +303,14 @@ struct BnbShared {
   std::atomic<std::uint64_t> expanded{0};
   std::atomic<bool> budget_tripped{false};
   std::uint64_t budget = 0;  ///< 0 = unlimited
-  /// Optional cross-process incumbent exchange (src/dist/); null in the
-  /// in-process searches.  Read at the prune sites, published on every
-  /// local improvement.  Sharing only tightens pruning — the strict
-  /// comparison keeps the (metric, code) result exact either way.
-  IncumbentChannel* channel = nullptr;
 };
 
-/// Returns true when `metric` improved the incumbent, so the caller can
-/// publish the improvement to an attached channel.
-bool update_incumbent(std::atomic<double>& incumbent, double metric) {
+void update_incumbent(std::atomic<double>& incumbent, double metric) {
   double current = incumbent.load(std::memory_order_relaxed);
-  while (metric < current) {
-    if (incumbent.compare_exchange_weak(current, metric,
-                                        std::memory_order_relaxed))
-      return true;
+  while (metric < current &&
+         !incumbent.compare_exchange_weak(current, metric,
+                                          std::memory_order_relaxed)) {
   }
-  return false;
 }
 
 /// One worker's depth-first enumeration of the subtree(s) its task index
@@ -432,9 +422,7 @@ class BnbWorker {
       ++leaves_;
       const ChunkBest candidate{metric_of(state_, by_power_), code_};
       if (better(candidate, best_)) best_ = candidate;
-      if (update_incumbent(shared_.incumbent, candidate.metric) &&
-          shared_.channel != nullptr)
-        shared_.channel->publish(candidate.metric);
+      update_incumbent(shared_.incumbent, candidate.metric);
       return;
     }
     if (pod_levels_ > 0 && depth == pod_depth_) {
@@ -478,9 +466,8 @@ class BnbWorker {
       const double lb =
           (batched ? sibling_metric[child] : metric_of(state_, by_power_)) +
           plan_.suffix_bound[depth + 1];
-      double incumbent = shared_.incumbent.load(std::memory_order_relaxed);
-      if (shared_.channel != nullptr)
-        incumbent = std::min(incumbent, shared_.channel->current());
+      const double incumbent =
+          shared_.incumbent.load(std::memory_order_relaxed);
       const double slack =
           kBoundSlackRel * (std::abs(lb) + std::abs(incumbent));
       if (lb - slack > incumbent) {
@@ -529,9 +516,7 @@ class BnbWorker {
           (std::size_t{1} << pod_levels_) - 2 + path;
       const ChunkBest candidate{pod.metric(lane, by_power_), code_};
       if (better(candidate, best_)) best_ = candidate;
-      if (update_incumbent(shared_.incumbent, candidate.metric) &&
-          shared_.channel != nullptr)
-        shared_.channel->publish(candidate.metric);
+      update_incumbent(shared_.incumbent, candidate.metric);
       return;
     }
     const std::uint32_t output = plan_.order[depth];
@@ -547,9 +532,8 @@ class BnbWorker {
       ++batched_evals_;
       const double lb =
           pod.metric(lane, by_power_) + plan_.suffix_bound[depth + 1];
-      double incumbent = shared_.incumbent.load(std::memory_order_relaxed);
-      if (shared_.channel != nullptr)
-        incumbent = std::min(incumbent, shared_.channel->current());
+      const double incumbent =
+          shared_.incumbent.load(std::memory_order_relaxed);
       const double slack =
           kBoundSlackRel * (std::abs(lb) + std::abs(incumbent));
       if (lb - slack > incumbent) {
@@ -586,8 +570,7 @@ class BnbWorker {
 /// Incumbent seed: the preferred-phase greedy assignment polished by a
 /// strict first-improvement single-flip descent.  Every evaluation here is
 /// an exact candidate, so seeding can only tighten pruning — it never
-/// changes the (metric, code) winner.  A pure function of the plan, so the
-/// distributed coordinator reproduces it bit-identically via plan_bnb_seed.
+/// changes the (metric, code) winner.
 struct SeedScan {
   ChunkBest best;
   std::size_t evaluations = 0;
@@ -735,156 +718,15 @@ SearchResult exhaustive_by(const AssignmentEvaluator& evaluator, bool by_power,
   return exhaustive_branch_and_bound(evaluator, by_power, options);
 }
 
-}  // namespace
-
-SearchResult exhaustive_min_power(const AssignmentEvaluator& evaluator,
-                                  const ExhaustiveOptions& options) {
-  return exhaustive_by(evaluator, /*by_power=*/true, options);
-}
-
-SearchResult exhaustive_min_area(const AssignmentEvaluator& evaluator,
-                                 const ExhaustiveOptions& options) {
-  return exhaustive_by(evaluator, /*by_power=*/false, options);
-}
-
-SearchResult exhaustive_min_power(const AssignmentEvaluator& evaluator,
-                                  std::size_t limit) {
-  return exhaustive_min_power(evaluator, ExhaustiveOptions{limit, 1});
-}
-
-SearchResult exhaustive_min_area(const AssignmentEvaluator& evaluator,
-                                 std::size_t limit) {
-  return exhaustive_min_area(evaluator, ExhaustiveOptions{limit, 1});
-}
-
-SearchResult min_area_assignment(const AssignmentEvaluator& evaluator,
-                                 const MinAreaOptions& options) {
-  const std::size_t num_pos = evaluator.network().num_pos();
-  if (num_pos == 0) {
-    SearchResult result;
-    result.cost = evaluator.evaluate({});
-    result.evaluations = 1;
-    return result;
-  }
-  // Clamp like exhaustive_by does, so an over-generous exhaustive_limit
-  // falls back to annealing instead of tripping ExhaustiveLimitError.
-  const std::size_t exhaustive_limit =
-      std::min(options.exhaustive_limit, kMaxExhaustiveOutputs);
-  if (num_pos <= exhaustive_limit) {
-    ExhaustiveOptions exhaustive;
-    exhaustive.max_outputs = exhaustive_limit;
-    exhaustive.num_threads = options.num_threads;
-    exhaustive.node_budget = options.node_budget;
-    exhaustive.batch_lanes = options.batch_lanes;
-    try {
-      return exhaustive_min_area(evaluator, exhaustive);
-    } catch (const ExhaustiveBudgetError&) {
-      // Bound too loose for this circuit: the budget capped the exact
-      // search's work near one annealing run's worth — fall through to it.
-    }
-  }
-
-  // Simulated annealing over single-output flips, with restarts and a final
-  // greedy descent; deterministic via the seeded per-restart RNG, so the
-  // restarts can run concurrently without changing any trajectory — and so
-  // a restart ships intact as one distributed work unit (src/dist/).
-  const std::size_t iterations =
-      resolve_anneal_iterations(options.anneal_iterations, num_pos);
-  // At least one restart, or there would be no assignment to return.
-  const unsigned num_restarts = std::max(1u, options.restarts);
-  std::vector<AnnealRestartOutcome> restarts(num_restarts);
-  ThreadPool pool(options.num_threads);
-
-  pool.parallel_for(num_restarts, [&](std::size_t restart) {
-    restarts[restart] =
-        run_min_area_restart(evaluator, options.seed, restart, iterations);
-  });
-
-  // Merge in restart order with strict improvement — the sequential rule.
-  SearchResult global_best;
-  std::size_t best_area = std::numeric_limits<std::size_t>::max();
+/// One annealing restart of the min-area search: restart `restart_index`
+/// under master seed `seed` (Rng seeded seed + index * golden-ratio), a
+/// metropolis walk of `iterations` steps, then the first-improvement descent
+/// -- both on an area-only EvalState (the search reads integer area alone).
+struct AnnealRestartOutcome {
+  PhaseAssignment assignment;
+  std::size_t area = 0;
   std::size_t evaluations = 0;
-  for (const AnnealRestartOutcome& restart : restarts) {
-    evaluations += restart.evaluations;
-    if (global_best.assignment.empty() || restart.area < best_area) {
-      best_area = restart.area;
-      global_best.assignment = restart.assignment;
-    }
-  }
-  global_best.cost = evaluator.evaluate(global_best.assignment);
-  global_best.evaluations = evaluations;
-  return global_best;
-}
-
-// -- distributed work-unit entry points (search.hpp, src/dist/) ---------------
-
-PhaseAssignment assignment_from_phase_code(std::uint64_t code,
-                                           std::size_t num_pos) {
-  return assignment_from_code(code, num_pos);
-}
-
-std::uint64_t phase_code_of(const PhaseAssignment& phases) {
-  return code_of(phases);
-}
-
-BnbSeed plan_bnb_seed(const AssignmentEvaluator& evaluator, bool by_power) {
-  const std::shared_ptr<const EvalContext>& ctx = evaluator.context();
-  BnbSeed out;
-  out.admissible = ctx->bounds_admissible();
-  EvalState base(ctx, EvalState::AllUnassigned{});
-  const BnbPlan plan = make_bnb_plan(*ctx, metric_of(base, by_power), by_power);
-  out.base_metric = plan.base_metric;
-  out.root_bound = plan.root_bound;
-  const SeedScan scan = bnb_seed_scan(ctx, plan, by_power);
-  out.seed_metric = scan.best.metric;
-  out.seed_code = scan.best.code;
-  out.seed_evaluations = scan.evaluations;
-  return out;
-}
-
-BnbSubtreeResult run_bnb_subtree(const AssignmentEvaluator& evaluator,
-                                 bool by_power,
-                                 const BnbSubtreeOptions& options) {
-  const std::shared_ptr<const EvalContext>& ctx = evaluator.context();
-  const std::size_t num_pos = ctx->num_outputs();
-  if (!ctx->bounds_admissible())
-    throw std::invalid_argument(
-        "run_bnb_subtree: bounds not admissible for this power model");
-  if (options.frontier_depth > std::min(num_pos, kMaxExhaustiveOutputs))
-    throw std::invalid_argument("run_bnb_subtree: frontier_depth exceeds #POs");
-  if (options.frontier_depth < 64 &&
-      (options.task >> options.frontier_depth) != 0)
-    throw std::invalid_argument(
-        "run_bnb_subtree: task outside the frontier range");
-
-  EvalState base(ctx, EvalState::AllUnassigned{});
-  const BnbPlan plan = make_bnb_plan(*ctx, metric_of(base, by_power), by_power);
-
-  BnbShared shared;
-  shared.incumbent.store(options.bound_snapshot, std::memory_order_relaxed);
-  shared.budget = options.node_budget;
-  shared.channel = options.channel;
-  const std::size_t lanes = resolve_eval_batch_lanes(options.batch_lanes);
-
-  BnbWorker worker(base, plan, by_power, options.frontier_depth, lanes, ctx,
-                   shared);
-  {
-    const obs::TraceSpan span("search.bnb_subtree", obs::SpanCat::kSearch);
-    worker.run(options.task);
-  }
-
-  BnbSubtreeResult result;
-  result.metric = worker.best().metric;
-  result.code = worker.best().code;
-  result.leaves = worker.leaves();
-  result.nodes_expanded = shared.expanded.load(std::memory_order_relaxed);
-  result.subtrees_pruned = worker.pruned();
-  result.batched_evals = worker.batched_evals();
-  result.batch_walks = worker.batch_walks();
-  result.budget_tripped =
-      shared.budget_tripped.load(std::memory_order_relaxed);
-  return result;
-}
+};
 
 AnnealRestartOutcome run_min_area_restart(const AssignmentEvaluator& evaluator,
                                           std::uint64_t seed,
@@ -950,6 +792,87 @@ AnnealRestartOutcome run_min_area_restart(const AssignmentEvaluator& evaluator,
   }
 
   return {state.assignment(), static_cast<std::size_t>(energy), evaluations};
+}
+
+}  // namespace
+
+SearchResult exhaustive_min_power(const AssignmentEvaluator& evaluator,
+                                  const ExhaustiveOptions& options) {
+  return exhaustive_by(evaluator, /*by_power=*/true, options);
+}
+
+SearchResult exhaustive_min_area(const AssignmentEvaluator& evaluator,
+                                 const ExhaustiveOptions& options) {
+  return exhaustive_by(evaluator, /*by_power=*/false, options);
+}
+
+SearchResult exhaustive_min_power(const AssignmentEvaluator& evaluator,
+                                  std::size_t limit) {
+  return exhaustive_min_power(evaluator, ExhaustiveOptions{limit, 1});
+}
+
+SearchResult exhaustive_min_area(const AssignmentEvaluator& evaluator,
+                                 std::size_t limit) {
+  return exhaustive_min_area(evaluator, ExhaustiveOptions{limit, 1});
+}
+
+SearchResult min_area_assignment(const AssignmentEvaluator& evaluator,
+                                 const MinAreaOptions& options) {
+  const std::size_t num_pos = evaluator.network().num_pos();
+  if (num_pos == 0) {
+    SearchResult result;
+    result.cost = evaluator.evaluate({});
+    result.evaluations = 1;
+    return result;
+  }
+  // Clamp like exhaustive_by does, so an over-generous exhaustive_limit
+  // falls back to annealing instead of tripping ExhaustiveLimitError.
+  const std::size_t exhaustive_limit =
+      std::min(options.exhaustive_limit, kMaxExhaustiveOutputs);
+  if (num_pos <= exhaustive_limit) {
+    ExhaustiveOptions exhaustive;
+    exhaustive.max_outputs = exhaustive_limit;
+    exhaustive.num_threads = options.num_threads;
+    exhaustive.node_budget = options.node_budget;
+    exhaustive.batch_lanes = options.batch_lanes;
+    try {
+      return exhaustive_min_area(evaluator, exhaustive);
+    } catch (const ExhaustiveBudgetError&) {
+      // Bound too loose for this circuit: the budget capped the exact
+      // search's work near one annealing run's worth — fall through to it.
+    }
+  }
+
+  // Simulated annealing over single-output flips, with restarts and a final
+  // greedy descent; deterministic via the seeded per-restart RNG, so the
+  // restarts can run concurrently without changing any trajectory.
+  const std::size_t iterations = options.anneal_iterations != 0
+                                     ? options.anneal_iterations
+                                     : 250 * num_pos;
+  // At least one restart, or there would be no assignment to return.
+  const unsigned num_restarts = std::max(1u, options.restarts);
+  std::vector<AnnealRestartOutcome> restarts(num_restarts);
+  ThreadPool pool(options.num_threads);
+
+  pool.parallel_for(num_restarts, [&](std::size_t restart) {
+    restarts[restart] =
+        run_min_area_restart(evaluator, options.seed, restart, iterations);
+  });
+
+  // Merge in restart order with strict improvement — the sequential rule.
+  SearchResult global_best;
+  std::size_t best_area = std::numeric_limits<std::size_t>::max();
+  std::size_t evaluations = 0;
+  for (const AnnealRestartOutcome& restart : restarts) {
+    evaluations += restart.evaluations;
+    if (global_best.assignment.empty() || restart.area < best_area) {
+      best_area = restart.area;
+      global_best.assignment = restart.assignment;
+    }
+  }
+  global_best.cost = evaluator.evaluate(global_best.assignment);
+  global_best.evaluations = evaluations;
+  return global_best;
 }
 
 }  // namespace dominosyn

@@ -26,7 +26,6 @@
 #pragma once
 
 #include <cstdint>
-#include <limits>
 #include <stdexcept>
 
 #include "network/network.hpp"
@@ -194,115 +193,6 @@ struct MinAreaOptions {
 
 [[nodiscard]] SearchResult min_area_assignment(const AssignmentEvaluator& evaluator,
                                                const MinAreaOptions& options = {});
-
-// -- distributed work-unit entry points (src/dist/) ---------------------------
-// The branch-and-bound prefix tree decomposes exactly: fixing the first
-// `frontier_depth` phases (in the plan's largest-cone-first order) yields
-// 2^frontier_depth independent subtrees whose best leaves merge by the same
-// lexicographic (metric, code) order the single-process search uses.  The
-// entry points below expose one subtree — and one annealing restart — as a
-// self-contained unit of work so src/dist/ can ship them across machines.
-// Each unit runs single-threaded and, when `channel` is null, prunes only
-// against its bound snapshot plus its own discoveries — making the result
-// *and* the work counters pure functions of the unit description.
-
-/// Cross-process incumbent exchange for subtree units.  `current()` returns
-/// the best metric known externally (+inf when none); `publish()` reports a
-/// local improvement.  Sharing an incumbent never changes the merged result
-/// (pruning is strict, so no subtree containing a tied-or-better leaf is ever
-/// cut) — only the work counters, which become timing-dependent exactly as
-/// they already are for num_threads > 1.
-class IncumbentChannel {
- public:
-  virtual ~IncumbentChannel() = default;
-  [[nodiscard]] virtual double current() = 0;
-  virtual void publish(double metric) = 0;
-};
-
-/// The deterministic preamble of a branch-and-bound search: the all-positive
-/// base metric, the admissible root lower bound, and the greedy + descent
-/// incumbent seed.  Identical to the seed the in-process search computes, so
-/// a coordinator can price units and a merged distributed result can include
-/// the seed candidate bit-identically.
-struct BnbSeed {
-  double base_metric = 0.0;
-  double root_bound = 0.0;
-  double seed_metric = 0.0;
-  std::uint64_t seed_code = 0;
-  std::size_t seed_evaluations = 0;
-  /// False when the evaluator's power model breaks bound admissibility
-  /// (docs/search.md); subtree pruning would be unsound, so distributed
-  /// callers must fall back to a local Gray walk.
-  bool admissible = false;
-};
-[[nodiscard]] BnbSeed plan_bnb_seed(const AssignmentEvaluator& evaluator,
-                                    bool by_power);
-
-struct BnbSubtreeOptions {
-  /// Owned prefix: the low `frontier_depth` bits fix the phases of the first
-  /// `frontier_depth` plan-ordered outputs (bit d set = non-preferred phase).
-  std::uint64_t task = 0;
-  std::size_t frontier_depth = 0;
-  /// Initial incumbent (typically the seed metric).  Leaves tied with the
-  /// snapshot are still enumerated — pruning is strict — so the merge keeps
-  /// the code-order tie-break exact.
-  double bound_snapshot = std::numeric_limits<double>::infinity();
-  /// Abort flag after this many expanded nodes (0 = unlimited).  The trip
-  /// point is deterministic when `channel` is null.
-  std::uint64_t node_budget = 0;
-  std::size_t batch_lanes = 0;  ///< 0 = auto, 1 = scalar; result identical.
-  IncumbentChannel* channel = nullptr;  ///< optional live incumbent exchange
-};
-
-struct BnbSubtreeResult {
-  /// Best leaf of the subtree: +inf metric / ~0 code when everything pruned.
-  double metric = std::numeric_limits<double>::infinity();
-  std::uint64_t code = ~0ULL;
-  std::uint64_t leaves = 0;  ///< exactly-evaluated complete assignments
-  std::uint64_t nodes_expanded = 0;
-  std::uint64_t subtrees_pruned = 0;
-  std::uint64_t batched_evals = 0;
-  std::uint64_t batch_walks = 0;
-  /// True when the node budget tripped: counters cover the truncated walk
-  /// and `metric` is only a lower-bound-respecting partial best.
-  bool budget_tripped = false;
-};
-
-/// Run one branch-and-bound subtree to completion (single-threaded).
-/// Requires admissible bounds (plan_bnb_seed().admissible) and
-/// frontier_depth <= min(#POs, kMaxExhaustiveOutputs); throws
-/// std::invalid_argument otherwise.
-[[nodiscard]] BnbSubtreeResult run_bnb_subtree(const AssignmentEvaluator& evaluator,
-                                               bool by_power,
-                                               const BnbSubtreeOptions& options);
-
-/// One annealing restart of the min-area search, exactly as
-/// min_area_assignment runs it: restart `restart_index` under master seed
-/// `seed` (Rng seeded seed + index * golden-ratio), metropolis walk of
-/// `iterations` steps, then the first-improvement descent — both on an
-/// area-only EvalState (the search reads integer area alone).
-struct AnnealRestartOutcome {
-  PhaseAssignment assignment;
-  std::size_t area = 0;
-  std::size_t evaluations = 0;
-};
-[[nodiscard]] AnnealRestartOutcome run_min_area_restart(
-    const AssignmentEvaluator& evaluator, std::uint64_t seed,
-    std::size_t restart_index, std::size_t iterations);
-
-/// The iteration count an auto (0) request resolves to — shared by
-/// min_area_assignment and the distributed annealing units so shipped units
-/// carry the exact resolved schedule.
-[[nodiscard]] constexpr std::size_t resolve_anneal_iterations(
-    std::size_t requested, std::size_t num_pos) noexcept {
-  return requested != 0 ? requested : 250 * num_pos;
-}
-
-/// Phase-code <-> assignment mapping shared by every exhaustive search:
-/// output i is negative iff bit i of the code is set.
-[[nodiscard]] PhaseAssignment assignment_from_phase_code(std::uint64_t code,
-                                                         std::size_t num_pos);
-[[nodiscard]] std::uint64_t phase_code_of(const PhaseAssignment& phases);
 
 /// How candidate pairs/combos are chosen in the min-power loop (the paper's
 /// §4.1 uses the cost function; the others are ablation baselines).

@@ -36,7 +36,8 @@ namespace dominosyn {
 
 /// Gate-type penalties P_i of §4.2 ("domino AND gates are slower than OR
 /// gates ... we account for this penalty").  §5 runs with penalties off
-/// (pure switching activity); see DESIGN.md §6 on the paper's P_i ambiguity.
+/// (pure switching activity); see README, "Provenance and caveats", on the
+/// paper's P_i ambiguity.
 struct GateTypePenalty {
   double and_mult = 1.0;  ///< multiplicative penalty for domino AND
   double or_mult = 1.0;   ///< multiplicative penalty for domino OR

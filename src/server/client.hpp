@@ -1,7 +1,7 @@
 /// \file client.hpp
 /// Small blocking client for the dominod wire protocol — the library behind
-/// the `domino_cli` tool, the distributed workers, and the socket round-trip
-/// tests.
+/// the `domino_cli` tool, perfbench's `serve_mixed` driver, and the socket
+/// round-trip tests.
 ///
 /// A `Client` owns one connection (UNIX-domain or TCP) and exchanges
 /// protocol lines synchronously: send one command (plus optional BLIF body),
@@ -138,7 +138,7 @@ class Client {
   /// for that request fingerprint.  `summary` is populated (from the full
   /// embedded submit response) only when state == "done".
   struct JobStatus {
-    std::string state;  ///< "unknown" | "running" | "recovered" | "done"
+    std::string state;  ///< "unknown" | "running" | "done"
     SubmitSummary summary;
   };
 

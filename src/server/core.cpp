@@ -130,14 +130,6 @@ ServerCore::ServerCore(ServerConfig config)
     owned_cache_ = std::make_unique<SessionCache>(config_.cache_capacity);
     cache_ = owned_cache_.get();
   }
-  if (!config_.journal_dir.empty()) {
-    // Replay (and arm) the durable checkpoint log before any worker can
-    // open a job: crash-interrupted jobs become adoptable, and fresh job
-    // ids start past every journaled one.
-    checkpoint_ = std::make_unique<dist::checkpoint::CheckpointLog>(
-        config_.journal_dir);
-    coordinator_.set_checkpoint(checkpoint_.get());
-  }
   if (config_.queue_capacity == 0) config_.queue_capacity = 1;
   brownout_high_water_ = config_.brownout_high_water != 0
                              ? config_.brownout_high_water
@@ -354,20 +346,13 @@ ServerCore::JobStatusResult ServerCore::job_status(
     const std::string& rid) const {
   JobStatusResult result;
   if (rid.empty()) return result;
-  {
-    const std::lock_guard<std::mutex> lock(attach_mutex_);
-    if (inflight_.contains(rid)) {
-      result.state = JobStatusResult::State::kRunning;
-      return result;
-    }
-    if (const auto it = finished_.find(rid); it != finished_.end()) {
-      result.state = JobStatusResult::State::kDone;
-      result.response = it->second->response;
-      return result;
-    }
+  const std::lock_guard<std::mutex> lock(attach_mutex_);
+  if (inflight_.contains(rid)) {
+    result.state = JobStatusResult::State::kRunning;
+  } else if (const auto it = finished_.find(rid); it != finished_.end()) {
+    result.state = JobStatusResult::State::kDone;
+    result.response = it->second->response;
   }
-  if (coordinator_.has_recovered(rid))
-    result.state = JobStatusResult::State::kRecovered;
   return result;
 }
 
@@ -377,8 +362,8 @@ ServerResponse ServerCore::execute(Pending& pending) {
       std::chrono::duration<double>(start - pending.enqueued).count();
   inst_.queue_us.record(static_cast<std::uint64_t>(queue_seconds * 1e6));
 
-  // Every span below this point (flow stages, search commits, batch walks,
-  // shipped work units) carries the request's trace id.
+  // Every span below this point (flow stages, search commits, batch walks)
+  // carries the request's trace id.
   const obs::TraceContext trace_context(pending.trace_id);
   const obs::TraceSpan request_span("server.request", obs::SpanCat::kServer);
 
@@ -416,21 +401,6 @@ ServerResponse ServerCore::execute(Pending& pending) {
       options.exhaustive_pos_limit = 0;
       response.telemetry.degraded = true;
       inst_.degraded_responses.add();
-    }
-    if (options.dist.enabled) {
-      // Wire the request to this core's coordinator and make sure workers
-      // can reconstruct the circuit; otherwise the request runs locally.
-      options.dist.coordinator = &coordinator_;
-      // The request fingerprint keys checkpoint journaling and crash-
-      // recovery adoption (docs/robustness.md).
-      options.dist.rid = pending.request.request_id;
-      if (!options.dist.circuit.valid()) {
-        options.dist.circuit.corpus = pending.request.corpus;
-        options.dist.circuit.blif_text = pending.request.blif_text;
-        options.dist.circuit.pi_prob = options.pi_prob;
-        options.dist.circuit.load_aware = options.model.load_aware;
-      }
-      if (!options.dist.circuit.valid()) options.dist.enabled = false;
     }
     SessionCache::Lease lease =
         cache_->lease(key, *pending.request.network, pending.request.options);
@@ -476,10 +446,6 @@ void ServerCore::shutdown(bool drain) {
     shutting_down_ = true;
     if (!drain) cancel_queued_ = true;
   }
-  // Resolve outstanding distributed jobs before waiting for idle: a flow
-  // blocked on a job future would otherwise keep running_ > 0 forever.  The
-  // cancelled jobs surface as DistSearchError and those flows finish locally.
-  coordinator_.cancel_all();
   {
     // Queued work drains through the normal per-key dispatch (with
     // cancel_queued_ set, each request resolves kRejectedShutdown instead of
@@ -491,18 +457,9 @@ void ServerCore::shutdown(bool drain) {
   ready_.close();
   for (std::thread& worker : workers_) worker.join();
   workers_joined_ = true;
-  // Flush the checkpoint journal so a clean shutdown loses nothing to the
-  // fsync batch.
-  if (checkpoint_ != nullptr) {
-    try {
-      checkpoint_->sync();
-    } catch (const std::exception&) {
-    }
-  }
 }
 
 ServerCore::Stats ServerCore::stats() const {
-  const dist::DistCoordinator::Counters fabric = coordinator_.counters();
   Stats snapshot;
   {
     // One coherent snapshot: every admission/outcome counter mutates under
@@ -552,16 +509,6 @@ ServerCore::Stats ServerCore::stats() const {
   // their snapshots are internally consistent by construction.
   snapshot.queue_us = inst_.queue_us.snapshot();
   snapshot.service_us = inst_.service_us.snapshot();
-  snapshot.units_issued = static_cast<std::size_t>(fabric.units_issued);
-  snapshot.units_stolen = static_cast<std::size_t>(fabric.units_stolen);
-  snapshot.units_reissued = static_cast<std::size_t>(fabric.units_reissued);
-  snapshot.incumbent_broadcasts =
-      static_cast<std::size_t>(fabric.incumbent_broadcasts);
-  snapshot.units_recovered = static_cast<std::size_t>(fabric.units_recovered);
-  snapshot.workers_quarantined =
-      static_cast<std::size_t>(fabric.workers_quarantined);
-  snapshot.quarantine_probes =
-      static_cast<std::size_t>(fabric.quarantine_probes);
   snapshot.faults_injected =
       static_cast<std::size_t>(fault::total_injected());
   return snapshot;
@@ -569,28 +516,6 @@ ServerCore::Stats ServerCore::stats() const {
 
 std::string ServerCore::prometheus_text() const {
   std::string out = metrics_.prometheus();
-  const dist::DistCoordinator::Counters fabric = coordinator_.counters();
-  const auto fabric_counter = [&out](const char* name, std::uint64_t value) {
-    out += "# TYPE ";
-    out += name;
-    out += " counter\n";
-    out += name;
-    out += ' ';
-    out += std::to_string(value);
-    out += '\n';
-  };
-  fabric_counter("dominosyn_fabric_units_issued_total", fabric.units_issued);
-  fabric_counter("dominosyn_fabric_units_stolen_total", fabric.units_stolen);
-  fabric_counter("dominosyn_fabric_units_reissued_total",
-                 fabric.units_reissued);
-  fabric_counter("dominosyn_fabric_incumbent_broadcasts_total",
-                 fabric.incumbent_broadcasts);
-  fabric_counter("dominosyn_fabric_units_recovered_total",
-                 fabric.units_recovered);
-  fabric_counter("dominosyn_fabric_workers_quarantined_total",
-                 fabric.workers_quarantined);
-  fabric_counter("dominosyn_fabric_quarantine_probes_total",
-                 fabric.quarantine_probes);
   out += "# HELP dominosyn_faults_injected_total Faults injected per site "
          "(docs/robustness.md; empty unless a fault spec is armed)\n";
   out += "# TYPE dominosyn_faults_injected_total counter\n";
@@ -602,8 +527,7 @@ std::string ServerCore::prometheus_text() const {
     out += '\n';
   }
   const obs::SpanCounts spans = obs::span_counts();
-  out += "# HELP dominosyn_spans_total Completed trace spans per layer "
-         "(local + ingested remote)\n";
+  out += "# HELP dominosyn_spans_total Completed trace spans per layer\n";
   out += "# TYPE dominosyn_spans_total counter\n";
   for (std::size_t i = 0; i < obs::kNumSpanCats; ++i) {
     out += "dominosyn_spans_total{layer=\"";

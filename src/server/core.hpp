@@ -46,8 +46,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "dist/checkpoint.hpp"
-#include "dist/coordinator.hpp"
 #include "flow/batch.hpp"
 #include "obs/metrics.hpp"
 #include "util/thread_pool.hpp"
@@ -63,12 +61,6 @@ struct ServerRequest {
   FlowOptions options;
   /// Reject instead of running when this point passed while queued.
   std::optional<std::chrono::steady_clock::time_point> deadline;
-  /// How the circuit was described on the wire, kept so dist-enabled requests
-  /// can ship a reconstructible spec to workers: the corpus name or the
-  /// verbatim inline-BLIF text (at most one non-empty).  In-process callers
-  /// may leave both empty and fill options.dist.circuit themselves.
-  std::string corpus;
-  std::string blif_text;
   /// Client-assigned idempotency fingerprint (`rid=` on the wire).  Serving
   /// is deterministic, so a re-submitted fingerprint returns the same bytes;
   /// the id exists for log/trace correlation across retries.
@@ -132,12 +124,6 @@ struct ServerConfig {
   bool brownout = false;
   /// Queue depth that trips the brownout; 0 = queue_capacity / 2.
   std::size_t brownout_high_water = 0;
-  /// Durable job state (docs/robustness.md): directory for the write-ahead
-  /// checkpoint journal.  Non-empty arms journaling of every rid-carrying
-  /// distributed job and replays the directory's journal at construction,
-  /// making crash-interrupted jobs adoptable (`dominod --journal-dir`).
-  /// Empty = durability off.
-  std::string journal_dir;
 };
 
 class ServerCore {
@@ -179,28 +165,15 @@ class ServerCore {
     /// sampled_responses for the fleet average).
     std::size_t sampled_responses = 0;
     double prob_halfwidth_sum = 0.0;
-    /// Distributed-fabric counters (snapshot of DistCoordinator::counters):
-    /// work-unit leases granted, speculative steals, re-issues after worker
-    /// loss, and accepted incumbent broadcasts.
-    std::size_t units_issued = 0;
-    std::size_t units_stolen = 0;
-    std::size_t units_reissued = 0;
-    std::size_t incumbent_broadcasts = 0;
-    /// Unit completions adopted from the checkpoint journal instead of
-    /// re-executed (the crash-recovery resume path; docs/robustness.md).
-    std::size_t units_recovered = 0;
     /// Robustness counters (docs/robustness.md): submits that arrived with a
-    /// nonzero `retry=` attempt, responses served under brownout, worker
-    /// quarantine events + re-admit probes, and faults this process injected
-    /// (0 unless a fault spec is armed; compiled out under
-    /// DOMINOSYN_NO_FAULTS).
+    /// nonzero `retry=` attempt, responses served under brownout, and faults
+    /// this process injected (0 unless a fault spec is armed; compiled out
+    /// under DOMINOSYN_NO_FAULTS).
     std::size_t retried_submits = 0;
     /// Retried submits answered by attaching to the in-flight / finished
     /// job of the same rid instead of re-executing (resume, not redo).
     std::size_t reattached_submits = 0;
     std::size_t degraded_responses = 0;
-    std::size_t workers_quarantined = 0;
-    std::size_t quarantine_probes = 0;
     std::size_t faults_injected = 0;
     /// Request latency distributions (microseconds): admission→start and
     /// start→response.  Mergeable log2 snapshots; quantile() gives p50/p95/p99.
@@ -222,8 +195,8 @@ class ServerCore {
   /// Re-attach (docs/robustness.md): a submit carrying a nonzero
   /// retry_attempt and a request_id that matches an in-flight or recently
   /// finished request returns *that* request's response instead of
-  /// re-executing — the retry path after a daemon restart resumes rather
-  /// than redoes.  First attempts (retry_attempt == 0) always execute, so
+  /// re-executing — a retry after a lost response resumes rather than
+  /// redoes.  First attempts (retry_attempt == 0) always execute, so
   /// deliberate repeat-submits (soaks, benchmarks) keep their semantics.
   [[nodiscard]] std::future<ServerResponse> submit(ServerRequest request);
 
@@ -231,20 +204,14 @@ class ServerCore {
   /// `domino_cli --attach`.
   struct JobStatusResult {
     enum class State : std::uint8_t {
-      kUnknown,    ///< never seen (or evicted from the finished window)
-      kRunning,    ///< in flight right now
-      kRecovered,  ///< journal-recovered, awaiting re-attach adoption
-      kDone,       ///< finished; `response` holds the served result
+      kUnknown,  ///< never seen (or evicted from the finished window)
+      kRunning,  ///< in flight right now
+      kDone,     ///< finished; `response` holds the served result
     };
     State state = State::kUnknown;
     ServerResponse response;  ///< valid when state == kDone
   };
   [[nodiscard]] JobStatusResult job_status(const std::string& rid) const;
-
-  /// Startup journal-replay summary; nullptr when durability is off.
-  [[nodiscard]] const dist::checkpoint::ReplayStats* recovery() const {
-    return checkpoint_ == nullptr ? nullptr : &checkpoint_->replay_stats();
-  }
 
   /// Stops admitting, resolves all queued + running requests (running work
   /// always finishes; queued work finishes when `drain`, else resolves
@@ -255,16 +222,11 @@ class ServerCore {
   /// The core's metric collection (counters/gauges/histograms behind the
   /// Stats facade).  Prometheus exposition via prometheus_text().
   [[nodiscard]] obs::MetricsRegistry& registry() noexcept { return metrics_; }
-  /// Prometheus text exposition of every registered metric, the
-  /// distributed-fabric counters, and the per-layer span counts (the
-  /// `metrics` protocol verb serves this).
+  /// Prometheus text exposition of every registered metric, the per-site
+  /// fault tallies and the per-layer span counts (the `metrics` protocol verb
+  /// serves this).
   [[nodiscard]] std::string prometheus_text() const;
   [[nodiscard]] SessionCache& cache() noexcept { return *cache_; }
-  /// The core's distributed-search coordinator; the transport serves its
-  /// lease_work / steal / complete_work / push_incumbent verbs against it.
-  [[nodiscard]] dist::DistCoordinator& coordinator() noexcept {
-    return coordinator_;
-  }
   [[nodiscard]] const ServerConfig& config() const noexcept { return config_; }
   [[nodiscard]] unsigned num_workers() const noexcept {
     return static_cast<unsigned>(workers_.size());
@@ -338,10 +300,6 @@ class ServerCore {
   std::size_t brownout_high_water_ = 0;  ///< resolved from config at start
   std::unique_ptr<SessionCache> owned_cache_;
   SessionCache* cache_ = nullptr;
-  /// Declared before coordinator_ so the coordinator (which borrows the
-  /// log via set_checkpoint) is destroyed first.  nullptr = durability off.
-  std::unique_ptr<dist::checkpoint::CheckpointLog> checkpoint_;
-  dist::DistCoordinator coordinator_;
   obs::MetricsRegistry metrics_;
   Instruments inst_;
 
@@ -361,7 +319,7 @@ class ServerCore {
   mutable std::mutex attach_mutex_;
   std::unordered_map<std::string, std::shared_ptr<AttachState>> inflight_;
   /// Recently finished kOk responses, bounded FIFO — the re-attach window
-  /// for clients whose daemon restarted between service and response.
+  /// for clients that lost a response and retry the same rid.
   std::unordered_map<std::string, std::shared_ptr<AttachState>> finished_;
   std::deque<std::string> finished_order_;
   static constexpr std::size_t kFinishedWindow = 128;

@@ -124,15 +124,6 @@ Command parse_submit_header(const std::vector<std::string>& tokens,
           static_cast<std::size_t>(require_long(key, value, 0, 62));
     } else if (key == "load_aware") {
       request.options.model.load_aware = require_long(key, value, 0, 1) != 0;
-    } else if (key == "dist") {
-      request.options.dist.enabled = require_long(key, value, 0, 1) != 0;
-    } else if (key == "dist_frontier") {
-      request.options.dist.frontier_depth =
-          static_cast<std::size_t>(require_long(key, value, 0, 62));
-    } else if (key == "dist_shared") {
-      request.options.dist.shared_bounds = require_long(key, value, 0, 1) != 0;
-    } else if (key == "dist_participate") {
-      request.options.dist.participate = require_long(key, value, 0, 1) != 0;
     } else if (key == "rid") {
       request.request_id = value;
     } else if (key == "retry") {
@@ -185,8 +176,6 @@ Command parse_submit(const std::vector<std::string>& tokens,
     } catch (const std::exception& e) {
       throw ProtocolError(std::string("BLIF parse failed: ") + e.what());
     }
-    // Keep the verbatim text: a dist-enabled request ships it to workers.
-    command.request.blif_text = text;
   } else {
     try {
       command.request.network = std::make_shared<const Network>(
@@ -194,59 +183,7 @@ Command parse_submit(const std::vector<std::string>& tokens,
     } catch (const std::exception& e) {
       throw ProtocolError(std::string("corpus lookup failed: ") + e.what());
     }
-    command.request.corpus = corpus;
   }
-  return command;
-}
-
-/// Parses the shared `key=value` tail of the single-line dist verbs.
-Command parse_dist_verb(const std::vector<std::string>& tokens) {
-  const std::string& verb = tokens[0];
-  Command command;
-  if (verb == "complete_work") {
-    command.kind = CommandKind::kCompleteWork;
-    try {
-      command.unit_result = dist::parse_complete_tokens(tokens);
-    } catch (const std::exception& e) {
-      throw ProtocolError(e.what());
-    }
-  } else {
-    command.kind = verb == "lease_work"  ? CommandKind::kLeaseWork
-                   : verb == "steal"     ? CommandKind::kStealWork
-                                         : CommandKind::kPushIncumbent;
-  }
-  bool saw_job = false;
-  bool saw_metric = false;
-  for (std::size_t i = 1; i < tokens.size(); ++i) {
-    const std::string& token = tokens[i];
-    const std::size_t eq = token.find('=');
-    if (eq == std::string::npos || eq == 0)
-      throw ProtocolError("'" + verb + "' arguments are key=value, got '" +
-                          token + "'");
-    const std::string key = token.substr(0, eq);
-    const std::string value = token.substr(eq + 1);
-    if (key == "worker") {
-      command.worker = dist::percent_decode(value);
-    } else if (command.kind == CommandKind::kPushIncumbent && key == "job") {
-      command.job_id = static_cast<std::uint64_t>(require_long(
-          key, value, 0, std::numeric_limits<long>::max()));
-      saw_job = true;
-    } else if (command.kind == CommandKind::kPushIncumbent &&
-               key == "metric") {
-      try {
-        command.metric = dist::decode_metric(value);
-      } catch (const std::exception& e) {
-        throw ProtocolError(e.what());
-      }
-      saw_metric = true;
-    } else if (command.kind != CommandKind::kCompleteWork) {
-      throw ProtocolError("unknown '" + verb + "' key '" + key + "'");
-    }
-  }
-  if (command.worker.empty())
-    throw ProtocolError("'" + verb + "' needs worker=<id>");
-  if (command.kind == CommandKind::kPushIncumbent && (!saw_job || !saw_metric))
-    throw ProtocolError("push_incumbent needs job= and metric=");
   return command;
 }
 
@@ -371,9 +308,6 @@ std::optional<Command> read_command(const LineSource& next_line) {
 
     const std::string& verb = tokens[0];
     if (verb == "submit") return parse_submit(tokens, next_line);
-    if (verb == "lease_work" || verb == "steal" || verb == "complete_work" ||
-        verb == "push_incumbent")
-      return parse_dist_verb(tokens);
     if (verb == "job_status") {
       Command command;
       command.kind = CommandKind::kJobStatus;
@@ -484,16 +418,9 @@ std::string format_stats(const ServerCore::Stats& stats,
   append_field(out, "bound_tightness_sum", stats.bound_tightness_sum);
   append_field(out, "sampled_responses", stats.sampled_responses);
   append_field(out, "prob_halfwidth_sum", stats.prob_halfwidth_sum);
-  append_field(out, "units_issued", stats.units_issued);
-  append_field(out, "units_stolen", stats.units_stolen);
-  append_field(out, "units_reissued", stats.units_reissued);
-  append_field(out, "units_recovered", stats.units_recovered);
-  append_field(out, "incumbent_broadcasts", stats.incumbent_broadcasts);
   append_field(out, "retried_submits", stats.retried_submits);
   append_field(out, "reattached_submits", stats.reattached_submits);
   append_field(out, "degraded_responses", stats.degraded_responses);
-  append_field(out, "workers_quarantined", stats.workers_quarantined);
-  append_field(out, "quarantine_probes", stats.quarantine_probes);
   append_field(out, "faults_injected", stats.faults_injected,
                /*comma=*/false);
   out += "},";
@@ -555,10 +482,8 @@ std::string format_job_status(const ServerCore::JobStatusResult& status) {
   }
   std::string out = "{";
   append_field(out, "ok", true);
-  const std::string_view name = status.state == State::kRunning ? "running"
-                                : status.state == State::kRecovered
-                                    ? "recovered"
-                                    : "unknown";
+  const std::string_view name =
+      status.state == State::kRunning ? "running" : "unknown";
   append_field(out, "state", name, /*comma=*/false);
   out += '}';
   return out;
@@ -609,19 +534,6 @@ std::optional<double> find_number(const std::string& json,
   char* end = nullptr;
   const double value = std::strtod(begin, &end);
   if (end == begin) return std::nullopt;
-  return value;
-}
-
-std::optional<std::uint64_t> find_uint64(const std::string& json,
-                                         const std::string& key) {
-  const std::size_t at = value_pos(json, key);
-  if (at == std::string::npos) return std::nullopt;
-  std::size_t end = at;
-  while (end < json.size() && json[end] >= '0' && json[end] <= '9') ++end;
-  if (end == at) return std::nullopt;
-  std::uint64_t value = 0;
-  const auto result = std::from_chars(json.data() + at, json.data() + end, value);
-  if (result.ec != std::errc{}) return std::nullopt;
   return value;
 }
 

@@ -19,19 +19,8 @@
 ///
 /// Submit options: mode=allpos|ma|mp|exhaustive, threads=N, pi_prob=F,
 /// sim_steps=N, sim_warmup=N, sim_seed=N, clock=F, exh_limit=N,
-/// load_aware=0|1, deadline_ms=N, dist=0|1, dist_frontier=N, dist_shared=0|1,
-/// dist_participate=0|1, rid=<fingerprint> (client idempotency id),
+/// load_aware=0|1, deadline_ms=N, rid=<fingerprint> (client idempotency id),
 /// retry=N (which re-submission this is; docs/robustness.md).
-///
-/// Distributed-fabric verbs (worker -> coordinator, docs/distributed.md):
-///
-///   lease_work worker=<id>
-///   steal worker=<id>
-///   complete_work worker=<id> job=<n> unit=<n> ok=0|1 metric=<m> ...
-///   push_incumbent worker=<id> job=<n> metric=<m>
-///
-/// The transport answers them from ServerCore::coordinator() with the
-/// one-line JSON grants/acks of dist/workunit.hpp.
 ///
 /// Every response is a single JSON line with an "ok" field; submit responses
 /// carry the full FlowReport plus serving telemetry (cache hit, stage
@@ -54,7 +43,6 @@
 #include <string>
 #include <string_view>
 
-#include "dist/workunit.hpp"
 #include "server/core.hpp"
 
 namespace dominosyn::protocol {
@@ -92,11 +80,7 @@ enum class CommandKind : std::uint8_t {
   kTrace,    ///< Chrome trace_event JSON dump of the span collector
   kPing,
   kQuit,
-  kLeaseWork,      ///< worker requests a unit
-  kStealWork,      ///< idle worker requests a speculative duplicate lease
-  kCompleteWork,   ///< worker reports a finished unit
-  kPushIncumbent,  ///< worker broadcasts an incumbent improvement
-  kJobStatus,      ///< client polls a rid's standing (docs/robustness.md)
+  kJobStatus,  ///< client polls a rid's standing (docs/robustness.md)
 };
 
 struct Command {
@@ -104,12 +88,7 @@ struct Command {
   /// Populated for kSubmit: the parsed network (owned), key, options and
   /// deadline, ready for ServerCore::submit.
   ServerRequest request;
-  /// Populated for the distributed-fabric verbs.
-  std::string worker;            ///< worker id (every dist verb)
-  dist::UnitResult unit_result;  ///< kCompleteWork
-  std::uint64_t job_id = 0;      ///< kPushIncumbent
-  double metric = 0.0;           ///< kPushIncumbent
-  std::string rid;               ///< kJobStatus: request fingerprint to poll
+  std::string rid;  ///< kJobStatus: request fingerprint to poll
 };
 
 /// Reads one command (skipping blank lines); std::nullopt at end of input.
@@ -125,7 +104,7 @@ struct Command {
 [[nodiscard]] std::string format_stats(const ServerCore::Stats& stats,
                                        const SessionCache& cache);
 [[nodiscard]] std::string format_pong();
-/// `job_status` response: `{"ok":true,"state":"unknown|running|recovered"}`,
+/// `job_status` response: `{"ok":true,"state":"unknown|running"}`,
 /// or for a finished job the full submit response with `"state":"done"`
 /// spliced in — a client that can parse submit answers can parse this one.
 [[nodiscard]] std::string format_job_status(
@@ -152,10 +131,6 @@ void append_json_string(std::string& out, std::string_view text);
 
 [[nodiscard]] std::optional<double> find_number(const std::string& json,
                                                 const std::string& key);
-/// Exact-text uint64 scan — find_number goes through a double, which loses
-/// precision past 2^53 (assignment codes, task bits, fingerprints).
-[[nodiscard]] std::optional<std::uint64_t> find_uint64(const std::string& json,
-                                                       const std::string& key);
 [[nodiscard]] std::optional<std::string> find_string(const std::string& json,
                                                      const std::string& key);
 [[nodiscard]] std::optional<bool> find_bool(const std::string& json,

@@ -184,10 +184,6 @@ void SocketServer::accept_loop(int listen_fd) {
 void SocketServer::serve_connection(int fd) {
   FdLineReader reader(fd);
   const protocol::LineSource next_line = [&reader] { return reader.next_line(); };
-  // The last worker id seen on this connection: when the connection dies its
-  // outstanding leases are re-queued so the fabric survives worker loss.
-  std::string worker_id;
-  dist::DistCoordinator& coordinator = core_.coordinator();
   for (;;) {
     std::optional<protocol::Command> command;
     try {
@@ -227,40 +223,6 @@ void SocketServer::serve_connection(int fd) {
         if (!send_line(fd, protocol::format_response(response))) goto done;
         break;
       }
-      case protocol::CommandKind::kLeaseWork:
-      case protocol::CommandKind::kStealWork: {
-        worker_id = command->worker;
-        const auto grant =
-            command->kind == protocol::CommandKind::kLeaseWork
-                ? coordinator.lease(command->worker)
-                : coordinator.steal(command->worker);
-        const std::string reply =
-            grant ? dist::format_work_grant(grant->unit, grant->incumbent)
-                  : dist::format_no_work();
-        if (!send_line(fd, reply)) goto done;
-        break;
-      }
-      case protocol::CommandKind::kCompleteWork: {
-        worker_id = command->worker;
-        // coordinator.complete.drop loses the completion *and* tears the
-        // connection down: worker_disconnected() at `done:` re-queues the
-        // unit, and the worker's pending request() sees the close and
-        // reconnects — the reissue path the chaos soak exercises.
-        if (fault::point("coordinator.complete.drop")) goto done;
-        const dist::DistCoordinator::CompleteAck ack =
-            coordinator.complete(command->worker, command->unit_result);
-        if (!send_line(fd,
-                       dist::format_complete_ack(ack.accepted, ack.incumbent)))
-          goto done;
-        break;
-      }
-      case protocol::CommandKind::kPushIncumbent: {
-        worker_id = command->worker;
-        const double incumbent = coordinator.push_incumbent(
-            command->worker, command->job_id, command->metric);
-        if (!send_line(fd, dist::format_incumbent_ack(incumbent))) goto done;
-        break;
-      }
       case protocol::CommandKind::kJobStatus: {
         const ServerCore::JobStatusResult status =
             core_.job_status(command->rid);
@@ -270,7 +232,6 @@ void SocketServer::serve_connection(int fd) {
     }
   }
 done:
-  if (!worker_id.empty()) coordinator.worker_disconnected(worker_id);
   {
     // Deregister before closing so stop() never pokes a recycled fd.
     const std::lock_guard<std::mutex> lock(mutex_);

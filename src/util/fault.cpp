@@ -171,7 +171,7 @@ std::map<std::string, Policy, std::less<>> parse_spec(
 }
 
 // Process-start env pickup: exported DOMINOSYN_FAULT_SPEC arms every binary
-// (tests under the CI chaos job, daemons, workers) without code changes.
+// (tests under the CI chaos job, daemons, clients) without code changes.
 // A malformed env spec must not abort static init — warn and stay disarmed.
 const bool g_env_initialized = [] {
   try {

@@ -25,16 +25,14 @@
 ///     seed:S        reseed the site's PRNG (default: hash of the site name)
 ///     delay_ms:D    sleep D milliseconds when the site fires, *in addition*
 ///                   to returning true (latency injection; a site armed with
-///                   only `delay_ms` still returns true — pair it with the
-///                   sites that treat `true` as "delay only", e.g.
-///                   coordinator.lease.delay)
+///                   only `delay_ms` still fires its fault)
 ///
-/// Example: `transport.recv.short_read=every:3;worker.unit.crash=nth:2`.
+/// Example: `transport.recv.short_read=every:3;client.send.fail=nth:2`.
 ///
 /// Determinism: triggers are counter- or seeded-PRNG-based, so a given spec
 /// fires the same evaluations on every run (modulo thread interleaving of
-/// the evaluation order itself).  The chaos suite exploits this: the fabric
-/// must return bit-identical reports with faults on vs. off.
+/// the evaluation order itself).  The chaos suite exploits this: served
+/// reports must be bit-identical with faults on vs. off.
 ///
 /// `DOMINOSYN_NO_FAULTS` compiles the whole registry down to `constexpr
 /// false` — zero fault instructions on the hot path (CI asserts no
@@ -69,18 +67,12 @@ inline constexpr const char* kSiteCatalogue[] = {
     "client.recv.short_read",
     "client.send.fail",
     "client.send.short_write",
-    "coordinator.complete.drop",
-    "coordinator.lease.delay",
-    "journal.torn_tail",
-    "journal.write_fail",
     "protocol.response.corrupt",
     "protocol.response.truncate",
     "transport.recv.fail",
     "transport.recv.short_read",
     "transport.send.fail",
     "transport.send.short_write",
-    "worker.unit.crash",
-    "worker.unit.stall",
 };
 
 /// The catalogue as strings, sorted (the array above is kept sorted).
@@ -105,7 +97,7 @@ void configure(const std::string& spec);
 
 /// Loads `DOMINOSYN_FAULT_SPEC` if set; returns true when a non-empty spec
 /// was installed.  Called automatically once at process start, so exported
-/// env reaches every binary (tests, daemons, workers) without plumbing.
+/// env reaches every binary (tests, daemons, clients) without plumbing.
 bool configure_from_env();
 
 /// Disarms every site and resets all counters.

@@ -1,8 +1,5 @@
 /// Chaos suite (docs/robustness.md): deterministic fault injection driven
-/// end to end through the serving and distributed layers.
-///  * a 2-worker TCP fabric survives a mid-unit worker crash, a stalled
-///    unit, torn transport writes/reads and a dropped complete_work — and
-///    still serves the bit-identical report of a fault-free local run,
+/// end to end through the serving layer.
 ///  * Client retries carry submits through truncated response lines (same
 ///    rid= fingerprint, counted by the server as retried_submits),
 ///  * client io deadlines surface as ClientTimeoutError against a peer
@@ -17,13 +14,9 @@
 #include <unistd.h>
 
 #include <chrono>
-#include <memory>
 #include <string>
-#include <vector>
 
-#include "benchgen/benchgen.hpp"
 #include "blif/blif.hpp"
-#include "dist/worker.hpp"
 #include "flow/flow.hpp"
 #include "server/client.hpp"
 #include "server/core.hpp"
@@ -46,107 +39,6 @@ class ChaosTest : public ::testing::Test {
   }
   void TearDown() override { fault::clear(); }
 };
-
-BenchSpec chaos_spec(std::uint64_t seed) {
-  BenchSpec spec;
-  spec.name = "chaos" + std::to_string(seed);
-  spec.num_pis = 9;
-  spec.num_pos = 8;
-  spec.gate_target = 100;
-  spec.seed = seed;
-  return spec;
-}
-
-FlowOptions fabric_options(const BenchSpec& spec) {
-  FlowOptions options;
-  options.mode = PhaseMode::kExhaustivePower;
-  options.sim.steps = 400;
-  options.sim.warmup = 8;
-  options.dist.enabled = true;
-  options.dist.frontier_depth = 4;
-  options.dist.participate = false;  // remote workers do all the work
-  options.dist.stall_takeover_ms = 60'000;
-  options.dist.lease_timeout_ms = 1'000;
-  options.dist.circuit.has_bench = true;
-  options.dist.circuit.bench = spec;
-  return options;
-}
-
-ServerRequest fabric_request(const Network& net, const FlowOptions& options) {
-  ServerRequest request;
-  request.network = std::make_shared<const Network>(net);
-  request.options = options;
-  return request;
-}
-
-void expect_reports_identical(const FlowReport& a, const FlowReport& b) {
-  EXPECT_EQ(a.cells, b.cells);
-  EXPECT_EQ(a.area, b.area);
-  EXPECT_EQ(a.est_power, b.est_power);
-  EXPECT_EQ(a.sim_power, b.sim_power);
-  EXPECT_EQ(a.assignment, b.assignment);
-  EXPECT_EQ(a.negative_outputs, b.negative_outputs);
-}
-
-TEST_F(ChaosTest, FabricServesBitIdenticalReportsUnderInjectedFaults) {
-  const BenchSpec spec = chaos_spec(97);
-  const Network net = generate_benchmark(spec);
-  FlowOptions local = fabric_options(spec);
-  local.dist = {};  // fault-free single-process reference
-  const FlowReport reference = run_flow(net, local);
-
-  // One of everything the failure domains can throw: a worker crashing
-  // mid-unit, a stalled unit (holding its lease), torn transport i/o in
-  // both directions, a lost completion, and lease-grant latency.
-  fault::configure(
-      "worker.unit.crash=nth:2;"
-      "worker.unit.stall=nth:5,delay_ms:50;"
-      "coordinator.complete.drop=nth:3;"
-      "transport.send.short_write=every:7;"
-      "transport.recv.short_read=every:5;"
-      "coordinator.lease.delay=every:4,delay_ms:2");
-
-  ServerCore core(ServerConfig{});
-  TransportConfig transport;  // ephemeral TCP loopback
-  SocketServer server(core, transport);
-
-  dist::WorkerConfig worker_config;
-  worker_config.port = server.port();
-  worker_config.num_threads = 1;
-  worker_config.idle_poll_ms = 5;
-  worker_config.reconnect_ms = 10;
-  worker_config.reconnect_cap_ms = 50;
-  std::vector<std::unique_ptr<dist::DistWorker>> fleet;
-  for (unsigned w = 0; w < 2; ++w) {
-    worker_config.name = "chaos" + std::to_string(w);
-    fleet.push_back(std::make_unique<dist::DistWorker>(worker_config));
-    fleet.back()->start();
-  }
-
-  const ServerResponse response =
-      core.submit(fabric_request(net, fabric_options(spec))).get();
-  ASSERT_EQ(response.status, ServerStatus::kOk) << response.error_message;
-  expect_reports_identical(response.report, reference);
-
-  // The chaos actually happened and the recovery paths actually ran.
-  EXPECT_GT(fault::total_injected(), 0u);
-  EXPECT_GE(fault::injected("worker.unit.crash"), 1u);
-  EXPECT_GE(fault::injected("coordinator.complete.drop"), 1u);
-  const ServerCore::Stats stats = core.stats();
-  EXPECT_GE(stats.units_issued, 16u);
-  EXPECT_GE(stats.units_reissued, 2u);  // crash + dropped completion
-  EXPECT_GT(stats.faults_injected, 0u);
-
-  // The injections ride the Prometheus exposition per site.
-  const std::string text = core.prometheus_text();
-  EXPECT_NE(text.find("dominosyn_faults_injected_total{site=\"worker.unit."
-                      "crash\"}"),
-            std::string::npos);
-
-  for (auto& worker : fleet) worker->stop();
-  server.stop();
-  core.shutdown();
-}
 
 TEST_F(ChaosTest, SubmitRetriesThroughTruncatedResponses) {
   const std::string blif_text =
@@ -224,10 +116,19 @@ TEST_F(ChaosTest, SubmitRetriesThroughServerSendFailure) {
   fault::configure("transport.send.fail=nth:1");
   const Client::SubmitSummary summary =
       client.submit("submit blif=inline mode=ma sim_steps=128", blif_text);
+  // The injection rides the stats line and the per-site Prometheus counter
+  // (read before clear(), which resets the tallies).
+  EXPECT_EQ(core.stats().faults_injected, 1u);
+  EXPECT_NE(core.prometheus_text().find(
+                "dominosyn_faults_injected_total{site=\"transport.send.fail\"} 1\n"),
+            std::string::npos);
   fault::clear();
   ASSERT_TRUE(summary.ok) << summary.raw;
   EXPECT_EQ(client.telemetry().retries, 1u);
   EXPECT_EQ(client.telemetry().reconnects, 1u);
+
+  server.stop();
+  core.shutdown();
 }
 
 TEST_F(ChaosTest, ClientIoDeadlineSurfacesAsTimeout) {

@@ -142,11 +142,16 @@ TEST_F(FaultTest, SitesEnumeratesCatalogueSorted) {
   const std::vector<std::string> sites = fault::sites();
   EXPECT_FALSE(sites.empty());
   EXPECT_TRUE(std::is_sorted(sites.begin(), sites.end()));
-  // The PR 10 durability sites are catalogued.
-  EXPECT_NE(std::find(sites.begin(), sites.end(), "journal.write_fail"),
-            sites.end());
-  EXPECT_NE(std::find(sites.begin(), sites.end(), "journal.torn_tail"),
-            sites.end());
+  // Exactly the serving path's sites: transport, protocol and client.
+  const std::vector<std::string> expected = {
+      "client.recv.fail",          "client.recv.short_read",
+      "client.send.fail",          "client.send.short_write",
+      "protocol.response.corrupt", "protocol.response.truncate",
+      "transport.recv.fail",       "transport.recv.short_read",
+      "transport.send.fail",       "transport.send.short_write"};
+  EXPECT_EQ(sites, expected);
+  EXPECT_THROW(fault::configure("coordinator.lease.delay=always"),
+               std::invalid_argument);
   // Every catalogued site must be accepted by the spec parser.
   for (const std::string& site : sites) fault::configure(site + "=nth:1");
   fault::clear();

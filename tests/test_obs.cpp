@@ -7,15 +7,13 @@
 ///  * concurrent record vs snapshot: every sample lands exactly once and a
 ///    mid-flight snapshot is internally consistent (TSan gates the races),
 ///  * span tracing: trace-id context nesting, RAII spans land in the thread
-///    ring with the right id/category, remote ingestion labels a second
-///    process timeline in the Chrome dump, and the wire codec round-trips —
-///    the codec tests run even under DOMINOSYN_NO_TRACING.
+///    ring with the right id/category, and the Chrome dump renders them on
+///    one line with per-layer counts.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <random>
 #include <thread>
 #include <vector>
@@ -116,8 +114,8 @@ TEST(HistogramMerge, AssociativeAndOrderIndependent) {
   const HistogramSnapshot c = parts[2].snapshot();
 
   // (a+b)+c, a+(b+c), and the reversed order must all equal the unsplit
-  // histogram — this is what makes worker->coordinator aggregation safe for
-  // any arrival interleaving.
+  // histogram — this is what makes snapshot aggregation safe for any
+  // arrival interleaving.
   HistogramSnapshot ab_c = a;
   ab_c.merge(b).merge(c);
   HistogramSnapshot bc = b;
@@ -271,40 +269,6 @@ TEST(MetricsRegistryTest, ConcurrentRecordVsSnapshot) {
   EXPECT_EQ(counter.value(), std::uint64_t{kThreads} * kPerThread);
 }
 
-TEST(SpanWireCodec, RoundTripsAllFields) {
-  // Always compiled (even under DOMINOSYN_NO_TRACING): a traced worker and
-  // an untraced coordinator must still parse each other.
-  std::vector<TraceEvent> events(3);
-  std::strcpy(events[0].name, "dist.unit");
-  events[0].trace_id = 42;
-  events[0].start_us = 1'700'000'000'123'456ull;
-  events[0].dur_us = 977;
-  events[0].tid = 7;
-  events[0].cat = static_cast<std::uint8_t>(SpanCat::kDist);
-  std::strcpy(events[1].name, "search.bnb_subtree");
-  events[1].trace_id = 42;
-  events[1].cat = static_cast<std::uint8_t>(SpanCat::kSearch);
-  std::strcpy(events[2].name, "batch.walk");
-  events[2].cat = static_cast<std::uint8_t>(SpanCat::kBatch);
-
-  const std::string wire = spans_to_wire(events);
-  EXPECT_EQ(wire.find(' '), std::string::npos);  // single protocol token
-  EXPECT_EQ(wire.find('\n'), std::string::npos);
-  const std::vector<TraceEvent> back = spans_from_wire(wire);
-  ASSERT_EQ(back.size(), events.size());
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    EXPECT_STREQ(back[i].name, events[i].name);
-    EXPECT_EQ(back[i].trace_id, events[i].trace_id);
-    EXPECT_EQ(back[i].start_us, events[i].start_us);
-    EXPECT_EQ(back[i].dur_us, events[i].dur_us);
-    EXPECT_EQ(back[i].tid, events[i].tid);
-    EXPECT_EQ(back[i].cat, events[i].cat);
-  }
-  EXPECT_TRUE(spans_to_wire({}).empty());
-  EXPECT_TRUE(spans_from_wire("").empty());
-  EXPECT_TRUE(spans_from_wire("garbage-with-no-structure").empty());
-}
-
 TEST(Tracing, ContextNestsAndSpansCarryTheThreadTraceId) {
   if (kTracingCompiledOut) GTEST_SKIP() << "tracing compiled out";
   const std::uint64_t id_a = mint_trace_id();
@@ -345,31 +309,24 @@ TEST(Tracing, DisabledSpansRecordNothing) {
   EXPECT_TRUE(thread_events_since(mark).empty());
 }
 
-TEST(Tracing, RemoteEventsJoinTheChromeTimeline) {
+TEST(Tracing, ChromeDumpCountsAndRendersLocalSpans) {
   if (kTracingCompiledOut) GTEST_SKIP() << "tracing compiled out";
   const SpanCounts before = span_counts();
-
-  TraceEvent remote{};
-  std::strcpy(remote.name, "dist.unit");
-  remote.trace_id = mint_trace_id();
-  remote.start_us = 1'000;
-  remote.dur_us = 50;
-  remote.tid = 0;
-  remote.cat = static_cast<std::uint8_t>(SpanCat::kDist);
-  record_remote("worker-x", {remote});
-
+  {
+    const TraceContext context(mint_trace_id());
+    const TraceSpan span("batch.walk", SpanCat::kBatch);
+  }
   const SpanCounts after = span_counts();
-  EXPECT_EQ(after[static_cast<std::size_t>(SpanCat::kDist)],
-            before[static_cast<std::size_t>(SpanCat::kDist)] + 1);
+  EXPECT_EQ(after[static_cast<std::size_t>(SpanCat::kBatch)],
+            before[static_cast<std::size_t>(SpanCat::kBatch)] + 1);
   EXPECT_GT(total_spans(), 0u);
 
   const std::string json = chrome_trace_json();
   EXPECT_EQ(json.find('\n'), std::string::npos);  // ships as one line
   EXPECT_NE(json.find("\"traceEvents\":["), std::string::npos);
-  // The remote process gets its own named timeline next to the local one.
-  EXPECT_NE(json.find("\"name\":\"worker-x\""), std::string::npos);
-  EXPECT_NE(json.find("\"name\":\"dist.unit\""), std::string::npos);
-  EXPECT_NE(json.find("\"cat\":\"dist\""), std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"dominod\""), std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"batch.walk\""), std::string::npos);
+  EXPECT_NE(json.find("\"cat\":\"batch\""), std::string::npos);
 }
 
 TEST(Tracing, SpanCatNamesMatchTheMetricLabels) {
@@ -377,7 +334,7 @@ TEST(Tracing, SpanCatNamesMatchTheMetricLabels) {
   EXPECT_EQ(span_cat_name(SpanCat::kFlow), "flow");
   EXPECT_EQ(span_cat_name(SpanCat::kSearch), "search");
   EXPECT_EQ(span_cat_name(SpanCat::kBatch), "batch");
-  EXPECT_EQ(span_cat_name(SpanCat::kDist), "dist");
+  EXPECT_EQ(kNumSpanCats, 4u);
 }
 
 }  // namespace

@@ -7,8 +7,11 @@
 ///  * admission: over-capacity requests are rejected cleanly, expired
 ///    deadlines are rejected without running, shutdown drains in-flight
 ///    work (and non-drain shutdown cancels queued work cleanly),
-///  * the wire protocol parses/formats round-trip, and a UNIX-socket
-///    daemon serves real clients end to end.
+///  * rid re-attach: a retried submit joins the finished job instead of
+///    re-executing, and job_status reports done / unknown,
+///  * the wire protocol parses/formats round-trip (and rejects the removed
+///    fabric verbs and keys), and a UNIX-socket daemon serves real clients
+///    end to end.
 
 #include <gtest/gtest.h>
 
@@ -412,6 +415,83 @@ TEST(ServerCore, NullNetworkThrows) {
   EXPECT_THROW((void)core.submit(std::move(request)), std::invalid_argument);
 }
 
+ServerRequest rid_request(const Network& net, const std::string& rid,
+                          unsigned retry) {
+  ServerRequest request =
+      make_request(net, fast_options(PhaseMode::kExhaustivePower));
+  request.request_id = rid;
+  request.retry_attempt = retry;
+  return request;
+}
+
+TEST(ServerRecovery, RetrySubmitReattachesInsteadOfReexecuting) {
+  const Network net = generate_benchmark(server_spec(11));
+  ServerConfig config;
+  config.num_workers = 2;
+  ServerCore core(config);
+
+  const std::string rid = "feedbeef00000001";
+  const ServerResponse first =
+      core.submit(rid_request(net, rid, /*retry=*/0)).get();
+  ASSERT_EQ(first.status, ServerStatus::kOk);
+
+  // The retry re-attaches to the finished job: same bytes, no re-execution.
+  const ServerResponse again =
+      core.submit(rid_request(net, rid, /*retry=*/1)).get();
+  ASSERT_EQ(again.status, ServerStatus::kOk);
+  expect_reports_identical(again.report, first.report);
+
+  const ServerCore::Stats stats = core.stats();
+  EXPECT_EQ(stats.completed, 1u);
+  EXPECT_EQ(stats.retried_submits, 1u);
+  EXPECT_EQ(stats.reattached_submits, 1u);
+
+  // job_status surfaces the same registry.
+  EXPECT_EQ(core.job_status(rid).state,
+            ServerCore::JobStatusResult::State::kDone);
+  EXPECT_EQ(core.job_status("0000000000000000").state,
+            ServerCore::JobStatusResult::State::kUnknown);
+  core.shutdown();
+}
+
+TEST(ServerRecovery, ConcurrentRetriesShareOneExecutionUnderEvictionPressure) {
+  // Several retries of one rid arrive while its first attempt is in flight,
+  // and traffic on another circuit applies eviction pressure to a
+  // capacity-1 cache.  The retries park on the running job instead of
+  // re-executing, so the rid's session is built exactly once.
+  const Network net = generate_benchmark(server_spec(13));
+  const Network other = generate_benchmark(server_spec(14));
+  ServerConfig config;
+  config.num_workers = 4;
+  config.cache_capacity = 1;
+  ServerCore core(config);
+
+  const std::string rid = "feedbeef00000003";
+  auto anchor = core.submit(rid_request(net, rid, /*retry=*/1));
+  std::vector<std::future<ServerResponse>> attached;
+  for (unsigned retry = 2; retry <= 4; ++retry)
+    attached.push_back(core.submit(rid_request(net, rid, retry)));
+  std::vector<std::future<ServerResponse>> churn;
+  for (int i = 0; i < 3; ++i)
+    churn.push_back(
+        core.submit(make_request(other, fast_options(PhaseMode::kMinArea))));
+
+  const ServerResponse first = anchor.get();
+  ASSERT_EQ(first.status, ServerStatus::kOk);
+  for (auto& future : attached) {
+    const ServerResponse response = future.get();
+    ASSERT_EQ(response.status, ServerStatus::kOk);
+    expect_reports_identical(response.report, first.report);
+  }
+  for (auto& future : churn) EXPECT_EQ(future.get().status, ServerStatus::kOk);
+
+  EXPECT_EQ(core.stats().reattached_submits, 3u);
+  // Cache misses cover the two distinct circuits only, not the re-attached
+  // duplicates.
+  EXPECT_EQ(core.cache().misses(), 2u);
+  core.shutdown();
+}
+
 TEST(SessionCacheLease, SerializesSameKeyHolders) {
   const Network net = generate_benchmark(server_spec(80));
   SessionCache cache(4);
@@ -546,6 +626,13 @@ TEST(Protocol, RejectsMalformedRequests) {
   EXPECT_THROW((void)parse("submit blif=inline\n.model t\n"),
                protocol::ProtocolError);  // body without .end
   EXPECT_THROW((void)parse("ping pong\n"), protocol::ProtocolError);
+  // No distributed-search verbs or submit keys.
+  for (const char* removed :
+       {"submit corpus=frg1 dist=1\n", "submit corpus=frg1 dist_frontier=3\n",
+        "lease_work worker=w\n", "steal worker=w\n",
+        "complete_work worker=w job=1 unit=0 ok=1 metric=1\n",
+        "push_incumbent worker=w job=1 metric=1\n"})
+    EXPECT_THROW((void)parse(removed), protocol::ProtocolError) << removed;
   // Blank lines are keep-alives, not errors.
   EXPECT_FALSE(parse("\n\n").has_value());
 }
@@ -666,11 +753,9 @@ TEST(Transport, TcpLoopbackRoundTrip) {
   EXPECT_TRUE(client.ping());
   const std::string stats = client.request("stats");
   EXPECT_EQ(protocol::find_bool(stats, "ok"), true);
-  // The distributed-fabric counters ride the stats line from day one.
-  EXPECT_EQ(protocol::find_number(stats, "units_issued"), 0.0);
-  EXPECT_EQ(protocol::find_number(stats, "units_stolen"), 0.0);
-  EXPECT_EQ(protocol::find_number(stats, "units_reissued"), 0.0);
-  EXPECT_EQ(protocol::find_number(stats, "incumbent_broadcasts"), 0.0);
+  EXPECT_EQ(protocol::find_number(stats, "retried_submits"), 0.0);
+  EXPECT_EQ(protocol::find_number(stats, "reattached_submits"), 0.0);
+  EXPECT_FALSE(protocol::find_number(stats, "units_issued").has_value());
 }
 
 TEST(ServerCore, StatsSnapshotIsCoherentUnderConcurrentSubmits) {
@@ -775,13 +860,14 @@ TEST(Transport, MetricsVerbServesPrometheusText) {
             std::string::npos);
   EXPECT_NE(text.find("dominosyn_request_service_us_count 1\n"),
             std::string::npos);
-  EXPECT_NE(text.find("dominosyn_fabric_units_issued_total"),
+  EXPECT_NE(text.find("dominosyn_spans_total{layer=\"server\"}"),
             std::string::npos);
+  EXPECT_EQ(text.find("dominosyn_fabric_"), std::string::npos);
   EXPECT_EQ(text.find("# EOF"), std::string::npos);
   EXPECT_TRUE(client.ping());
 
   // The trace verb answers one JSON line with ok + traceEvents (span content
-  // is covered by test_obs / test_dist; compiled-out builds serve an empty
+  // is covered by test_obs; compiled-out builds serve an empty
   // event list through the same verb).
   const std::string trace = client.request("trace");
   EXPECT_EQ(protocol::find_bool(trace, "ok"), true);

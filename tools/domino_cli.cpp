@@ -11,12 +11,10 @@
 /// Submits one circuit (by corpus name or BLIF file), prints the report
 /// summary with serving telemetry — or the raw JSON line with --raw.
 /// --repeat N re-submits N times, showing the cold→hot cache transition.
-/// --stats pretty-prints the full ServerCore::Stats JSON (including the
-/// distributed-fabric counters) and summarizes the latency histograms as
-/// one-line p50/p95/p99 digests; --metrics prints the daemon's Prometheus
-/// text; --trace-dump writes the span collector as Chrome trace_event JSON
-/// loadable in perfetto (docs/observability.md); --dist fans the request's
-/// search out over the daemon's connected workers.
+/// --stats pretty-prints the full ServerCore::Stats JSON and summarizes the
+/// latency histograms as one-line p50/p95/p99 digests; --metrics prints the
+/// daemon's Prometheus text; --trace-dump writes the span collector as
+/// Chrome trace_event JSON loadable in perfetto (docs/observability.md).
 
 #include <chrono>
 #include <cstdio>
@@ -48,7 +46,7 @@ void usage(const char* program) {
       << "                   (printed with every summary): polls job_status\n"
       << "                   until the job finishes, then prints its result\n"
       << "                   — the recovery path after a client disconnect\n"
-      << "                   or daemon restart (docs/robustness.md)\n"
+      << "                   (docs/robustness.md)\n"
       << "options:\n"
       << "  --mode M         allpos|ma|mp|exhaustive (default mp)\n"
       << "  --circuit KEY    session-cache key override\n"
@@ -60,12 +58,6 @@ void usage(const char* program) {
       << "  --deadline-ms N  reject if not started within N ms\n"
       << "  --exh-limit N    exhaustive-search PO cap (exhaustive mode\n"
       << "                   default 24)\n"
-      << "  --dist           distribute the search over connected workers\n"
-      << "  --dist-frontier N  B&B split depth (2^N work units, default 6)\n"
-      << "  --dist-shared    share incumbents live across workers (timing-\n"
-      << "                   dependent counters; results stay deterministic)\n"
-      << "  --dist-remote-only  don't run units on the daemon's own threads;\n"
-      << "                   leave them all to connected remote workers\n"
       << "  --repeat N       submit N times (watch the cache heat up)\n"
       << "  --retries N      re-try failed/torn/timed-out submits up to N\n"
       << "                   times on a fresh connection (default 0)\n"
@@ -201,9 +193,8 @@ int main(int argc, char** argv) {
       !flags->only({"unix", "host", "port", "corpus", "blif", "stats",
                     "metrics", "trace-dump", "ping", "attach", "mode",
                     "circuit", "threads", "sim-steps", "sim-warmup", "pi-prob",
-                    "clock", "deadline-ms", "exh-limit", "dist",
-                    "dist-frontier", "dist-shared", "dist-remote-only",
-                    "repeat", "retries", "timeout-ms", "raw", "help"})) {
+                    "clock", "deadline-ms", "exh-limit", "repeat", "retries",
+                    "timeout-ms", "raw", "help"})) {
     usage(argv[0]);
     return 2;
   }
@@ -299,8 +290,7 @@ int main(int argc, char** argv) {
                        "submitted)\n";
           return 1;
         }
-        // running / recovered: a recovered job finishes once someone
-        // re-submits it, so keep polling either way.
+        // running: keep polling until it finishes.
         std::this_thread::sleep_for(std::chrono::milliseconds(200));
       }
     }
@@ -343,13 +333,6 @@ int main(int argc, char** argv) {
     for (const auto& [flag, key] :
          {std::pair{"pi-prob", "pi_prob"}, {"clock", "clock"}}) {
       if (flags->has(flag)) command += std::string(" ") + key + "=" + flags->get(flag);
-    }
-    if (flags->has("dist")) {
-      command += " dist=1";
-      if (flags->has("dist-frontier"))
-        command += " dist_frontier=" + flags->get("dist-frontier");
-      if (flags->has("dist-shared")) command += " dist_shared=1";
-      if (flags->has("dist-remote-only")) command += " dist_participate=0";
     }
 
     const auto repeat = flags->get_long("repeat", 1, 1, 1 << 20);

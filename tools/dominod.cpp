@@ -1,25 +1,20 @@
 /// \file dominod.cpp
 /// The phase-assignment serving daemon: a SocketServer (UNIX or TCP) over
-/// one ServerCore with its hot SessionCache — and, with --worker, the worker
-/// side of the distributed search fabric instead.
+/// one ServerCore with its hot SessionCache.
 ///
 /// Usage:
 ///   dominod --unix /tmp/dominod.sock [--workers N] [--queue N] [--cache N]
 ///   dominod --port 7117 [--host 127.0.0.1] [...]
-///   dominod --worker --port 7117 [--host A] [--threads N] [--name ID]
 ///
 /// Daemon knobs: --workers (0 = one per hardware thread) sizes the flow
 /// worker pool, --queue bounds admitted-but-not-started requests
 /// (over-capacity submits are rejected, not queued), --cache bounds the
-/// hot-session LRU.  Worker mode connects to a coordinator daemon, leases
-/// search work units on --threads connections and runs them locally
-/// (docs/distributed.md).  SIGINT/SIGTERM stop accepting, drain in-flight
-/// work, and exit.
+/// hot-session LRU.  SIGINT/SIGTERM stop accepting, drain in-flight work,
+/// and exit.
 
 #include <csignal>
 #include <iostream>
 
-#include "dist/worker.hpp"
 #include "server/core.hpp"
 #include "server/transport.hpp"
 #include "util/cli.hpp"
@@ -31,10 +26,8 @@ void usage(const char* program) {
   std::cerr
       << "usage: " << program << " (--unix PATH | --port N [--host A])\n"
       << "               [--workers N] [--queue N] [--cache N]\n"
-      << "       " << program << " --worker (--unix PATH | --port N [--host A])\n"
-      << "               [--threads N] [--name ID]\n"
-      << "  --unix PATH   listen on (or connect to) a UNIX-domain socket\n"
-      << "  --port N      TCP port (daemon: 0 = ephemeral, printed on start)\n"
+      << "  --unix PATH   listen on a UNIX-domain socket\n"
+      << "  --port N      TCP port (0 = ephemeral, printed on start)\n"
       << "  --host A      TCP address (default 127.0.0.1)\n"
       << "  --workers N   flow workers; 0 = one per hardware thread (default 0)\n"
       << "  --queue N     admission queue capacity (default 64)\n"
@@ -43,72 +36,12 @@ void usage(const char* program) {
       << "                default 0)\n"
       << "  --brownout N  degrade auto-exhaustive submits to the heuristic\n"
       << "                when N+ requests are queued (0 = off, default 0)\n"
-      << "  --journal-dir D  durable job state: write-ahead journal +\n"
-      << "                snapshots in D; a restart replays the journal and\n"
-      << "                re-attached submits adopt the completed units\n"
-      << "                (docs/robustness.md)\n"
-      << "  --fault-spec S  arm deterministic fault injection (both modes;\n"
-      << "                docs/robustness.md), e.g.\n"
+      << "  --fault-spec S  arm deterministic fault injection\n"
+      << "                (docs/robustness.md), e.g.\n"
       << "                'transport.send.short_write=every:3'\n"
       << "  --list-fault-sites  print the fault-site catalogue and exit\n"
-      << "  --worker      run as a distributed-search worker instead\n"
-      << "  --threads N   worker: concurrent work units; 0 = one per hardware\n"
-      << "                thread (default 0)\n"
-      << "  --name ID     worker: wire identity prefix (default 'worker')\n";
-}
-
-int run_worker(const dominosyn::cli::FlagSet& flags, const char* program) {
-  using namespace dominosyn;
-
-  dist::WorkerConfig config;
-  config.unix_path = flags.get("unix");
-  config.host = flags.get("host", "127.0.0.1");
-  const auto port = flags.get_long("port", 0, 0, 65535);
-  const auto threads = flags.get_long("threads", 0, 0, 1024);
-  if (!port || !threads) {
-    usage(program);
-    return 2;
-  }
-  if (config.unix_path.empty() && !flags.has("port")) {
-    std::cerr << program << ": worker needs --unix PATH or --port N\n";
-    usage(program);
-    return 2;
-  }
-  config.port = static_cast<std::uint16_t>(*port);
-  config.num_threads = static_cast<unsigned>(*threads);
-  config.name = flags.get("name", "worker");
-
-  sigset_t signals;
-  sigemptyset(&signals);
-  sigaddset(&signals, SIGINT);
-  sigaddset(&signals, SIGTERM);
-  pthread_sigmask(SIG_BLOCK, &signals, nullptr);
-
-  try {
-    dist::DistWorker worker(config);
-    worker.start();
-    if (!config.unix_path.empty())
-      std::cout << "dominod: worker '" << config.name << "' serving "
-                << config.unix_path;
-    else
-      std::cout << "dominod: worker '" << config.name << "' serving "
-                << config.host << ":" << config.port;
-    std::cout << std::endl;
-
-    int signal = 0;
-    sigwait(&signals, &signal);
-    std::cout << "dominod: signal " << signal << ", finishing leased units"
-              << std::endl;
-    worker.stop();
-    const dist::DistWorker::Telemetry telemetry = worker.telemetry();
-    std::cout << "dominod: worker ran " << telemetry.units_completed
-              << " units (" << telemetry.units_failed << " failed, "
-              << telemetry.reconnects << " reconnects)" << std::endl;
-  } catch (const std::exception& e) {
-    std::cerr << "dominod: " << e.what() << "\n";
-    return 1;
-  }
-  return 0;
+      << "                (after validating --fault-spec, if given: exit 2\n"
+      << "                on a bad spec)\n";
 }
 
 /// Applies --fault-spec (overriding DOMINOSYN_FAULT_SPEC, which the fault
@@ -146,8 +79,8 @@ int main(int argc, char** argv) {
   const auto flags = cli::FlagSet::parse(argc, argv);
   if (!flags ||
       !flags->only({"unix", "port", "host", "workers", "queue", "cache",
-                    "slow-ms", "brownout", "journal-dir", "fault-spec",
-                    "list-fault-sites", "worker", "threads", "name", "help"})) {
+                    "slow-ms", "brownout", "fault-spec", "list-fault-sites",
+                    "help"})) {
     usage(argv[0]);
     return 2;
   }
@@ -155,12 +88,11 @@ int main(int argc, char** argv) {
     usage(argv[0]);
     return 0;
   }
+  if (!apply_fault_spec(*flags, argv[0])) return 2;
   if (flags->has("list-fault-sites")) {
     for (const std::string& site : fault::sites()) std::cout << site << "\n";
     return 0;
   }
-  if (!apply_fault_spec(*flags, argv[0])) return 2;
-  if (flags->has("worker")) return run_worker(*flags, argv[0]);
 
   TransportConfig transport;
   transport.unix_path = flags->get("unix");
@@ -189,7 +121,6 @@ int main(int argc, char** argv) {
   config.slow_request_seconds = static_cast<double>(*slow_ms) / 1e3;
   config.brownout = *brownout > 0;
   config.brownout_high_water = static_cast<std::size_t>(*brownout);
-  config.journal_dir = flags->get("journal-dir");
 
   // Block the shutdown signals before any thread exists, so every thread
   // inherits the mask and sigwait below is the one consumer.
@@ -210,17 +141,6 @@ int main(int argc, char** argv) {
     std::cout << " (workers=" << core.num_workers()
               << " queue=" << config.queue_capacity
               << " cache=" << config.cache_capacity << ")" << std::endl;
-    if (const auto* recovery = core.recovery()) {
-      std::cout << "dominod: journal " << config.journal_dir << ": replayed "
-                << recovery->records << " records, " << recovery->live_jobs
-                << " live / " << recovery->jobs << " jobs, "
-                << recovery->completed_units << "/" << recovery->units
-                << " units durable";
-      if (recovery->torn_tail)
-        std::cout << " (torn tail: " << recovery->dropped_bytes
-                  << " bytes dropped)";
-      std::cout << std::endl;
-    }
 
     int signal = 0;
     sigwait(&signals, &signal);
@@ -234,12 +154,6 @@ int main(int argc, char** argv) {
               << stats.rejected_queue_full + stats.rejected_deadline +
                      stats.rejected_shutdown
               << " rejected, " << stats.errors << " errors)" << std::endl;
-    if (stats.units_issued > 0)
-      std::cout << "dominod: fabric issued " << stats.units_issued
-                << " work units (" << stats.units_stolen << " stolen, "
-                << stats.units_reissued << " re-issued, "
-                << stats.incumbent_broadcasts << " incumbent broadcasts, "
-                << stats.workers_quarantined << " quarantines)" << std::endl;
     if (stats.faults_injected > 0)
       std::cout << "dominod: injected " << stats.faults_injected
                 << " faults (" << stats.retried_submits << " retried submits, "
