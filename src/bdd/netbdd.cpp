@@ -181,16 +181,20 @@ class Sampler {
     // Streams are seeded by NodeId, so every pass that draws a source at the
     // same probability sees the same samples.
     std::vector<Rng> streams;
+    std::vector<BiasedBits> programs;
     streams.reserve(sources.size());
-    for (const std::uint32_t s : sources) streams.emplace_back(hash3(kSampleSeed, topo_[s], 0));
+    programs.reserve(sources.size());
+    for (const std::uint32_t s : sources) {
+      streams.emplace_back(hash3(kSampleSeed, topo_[s], 0));
+      programs.emplace_back(source_prob[topo_[s]]);
+    }
 
     std::vector<std::uint64_t> value(topo_.size() * B, 0);
     std::vector<std::uint64_t> ones(topo_.size(), 0);
     for (std::size_t block = 0; block < kSampleWords / B; ++block) {
       for (std::size_t j = 0; j < sources.size(); ++j) {
-        const double p = source_prob[topo_[sources[j]]];
         std::uint64_t* out = &value[sources[j] * B];
-        for (std::size_t w = 0; w < B; ++w) out[w] = streams[j].biased_bits(p);
+        for (std::size_t w = 0; w < B; ++w) out[w] = programs[j].next(streams[j]);
         ones[sources[j]] += block_popcount(out);
       }
       for (const std::uint32_t g : gates) {

@@ -8,10 +8,13 @@
 
 #pragma once
 
+#include <span>
 #include <string>
+#include <vector>
 
 #include "mapping/mapper.hpp"
 #include "network/network.hpp"
+#include "phase/assignment.hpp"
 #include "phase/search.hpp"
 #include "sgraph/partition.hpp"
 #include "sim/sim.hpp"
@@ -151,5 +154,21 @@ struct FlowReport {
 [[nodiscard]] bool random_equivalent(const Network& a, const Network& b,
                                      std::size_t words = 64,
                                      std::uint64_t seed = 99);
+
+/// As above, and on the same vectors also checks every node of `b` that has
+/// a counterpart in `a` (`counterparts[id]`, one per node of `b`) against
+/// that node's value, or its complement.
+[[nodiscard]] bool random_equivalent(const Network& a, const Network& b,
+                                     std::span<const Counterpart> counterparts,
+                                     std::size_t words = 64,
+                                     std::uint64_t seed = 99);
+
+/// Each mapped node's counterpart in the network that synthesize_domino
+/// realized: MapResult::origin_of followed by the inverse of
+/// pos_impl/neg_impl; an output inverter is the complement of its fanin's
+/// counterpart.  The partial cells of a chunked wide tree (see
+/// MapResult::image_of) get none.
+[[nodiscard]] std::vector<Counterpart> mapped_counterparts(
+    const DominoSynthesisResult& domino, const MapResult& mapped);
 
 }  // namespace dominosyn

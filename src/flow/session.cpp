@@ -87,6 +87,11 @@ bool measure_inputs_equal(const FlowOptions& a, const FlowOptions& b) {
   return same_sim(a.sim, b.sim) && a.count_clock_load == b.count_clock_load;
 }
 
+bool sample_inputs_equal(const FlowOptions& a, const FlowOptions& b) {
+  return a.pi_prob == b.pi_prob && a.sim.seed == b.sim.seed &&
+         a.sim.steps == b.sim.steps && a.sim.warmup == b.sim.warmup;
+}
+
 void record_probability_path(obs::MetricsRegistry& registry,
                              const SeqProbResult& probs) {
   constexpr const char* kPathHelp =
@@ -123,12 +128,14 @@ void FlowSession::set_options(const FlowOptions& options) {
   // pi_prob also feeds the measurement's input-vector statistics, so a
   // probability change re-measures even though maps/assigns cover the rest.
   const bool measures_stale = maps_stale || !measure_inputs_equal(options_, options);
+  const bool sample_stale = !sample_inputs_equal(options_, options);
   options_ = options;
   if (probs_stale) invalidate_from_probs();
   if (context_stale) invalidate_from_context();
   if (assigns_stale) invalidate_assignments();
   if (maps_stale) invalidate_maps();
   if (measures_stale) invalidate_measures();
+  if (sample_stale) invalidate_sample();
 }
 
 void FlowSession::invalidate_from_probs() { probs_.reset(); }
@@ -148,6 +155,8 @@ void FlowSession::invalidate_maps() {
 void FlowSession::invalidate_measures() {
   for (auto& stage : measure_) stage.reset();
 }
+
+void FlowSession::invalidate_sample() { sample_.reset(); }
 
 const Network& FlowSession::synthesized() {
   if (!synth_) {
@@ -304,10 +313,12 @@ const FlowSession::MapStage& FlowSession::map(PhaseMode mode) {
   MapStage stage;
   stage.mode = mode;
   const DominoSynthesisResult domino = synthesize_domino(net, assigned.assignment);
-  if (options_.verify_equivalence)
-    stage.equivalence_ok = random_equivalent(net, domino.net);
-
   MapResult mapped = map_network(domino.net, flow_library(), options_.map_options);
+  stage.provenance = mapped_counterparts(domino, mapped);
+  // Checked before resizing, which swaps cells but never the logic.
+  if (options_.verify_equivalence)
+    stage.equivalence_ok =
+        random_equivalent(net, mapped.netlist.net, stage.provenance);
   if (options_.clock_period > 0.0) {
     const ResizeResult resize = resize_to_meet(
         mapped.netlist, options_.clock_period, options_.wire_cap);
@@ -326,22 +337,44 @@ const FlowSession::MapStage& FlowSession::map(PhaseMode mode) {
   return *slot;
 }
 
+const PowerSample& FlowSession::power_sample() {
+  if (!sample_) {
+    const Network& net = synthesized();
+    const obs::TraceSpan span("flow.sample", obs::SpanCat::kFlow);
+    const std::vector<double> pi_probs(net.num_pis(), options_.pi_prob);
+    sample_.emplace(net, pi_probs, options_.sim);
+    ++stats_.sample_builds;
+  }
+  return *sample_;
+}
+
 const FlowSession::MeasureStage& FlowSession::measure(PhaseMode mode) {
   auto& slot = measure_[mode_index(mode)];
   if (slot) return *slot;
 
   const MapStage& mapped = map(mode);
+  // Every node of a mapping has a counterpart unless a tree was chunked;
+  // only then is the netlist itself simulated.
+  const bool replayable =
+      std::ranges::all_of(mapped.provenance, [](const Counterpart& counterpart) {
+        return counterpart.node != kNullNode;
+      });
+  const PowerSample* sample = replayable ? &power_sample() : nullptr;
 
   const obs::TraceSpan span("flow.measure", obs::SpanCat::kFlow);
   MeasureStage stage;
   stage.mode = mode;
   SimPowerOptions sim = options_.sim;
   sim.node_caps = mapped.netlist.node_loads(options_.wire_cap);
-  const std::vector<double> mapped_pi_probs(mapped.netlist.net.num_pis(),
-                                            options_.pi_prob);
-  const SimPowerResult measured =
-      simulate_domino_power(mapped.netlist.net, mapped_pi_probs, sim);
-  stage.breakdown = measured.per_cycle;
+  if (sample != nullptr) {
+    stage.breakdown =
+        replay_domino_power(*sample, mapped.netlist.net, mapped.provenance, sim);
+  } else {
+    const std::vector<double> mapped_pi_probs(mapped.netlist.net.num_pis(),
+                                              options_.pi_prob);
+    stage.breakdown =
+        simulate_domino_power(mapped.netlist.net, mapped_pi_probs, sim).per_cycle;
+  }
   if (options_.count_clock_load)
     stage.breakdown.clock_load += mapped.netlist.clock_load();
   stage.total = stage.breakdown.total();

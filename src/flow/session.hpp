@@ -14,8 +14,12 @@
 ///   probabilities()  SeqProbOptions-derived signal probabilities / BDDs
 ///   evaluator()      the shared incremental-evaluation EvalContext
 ///   assign(mode)     the phase search result for one PhaseMode
-///   map(mode)        domino synthesis + technology mapping (+ resize) + STA
-///   measure(mode)    simulated power on the mapped netlist
+///   map(mode)        domino synthesis + technology mapping (+ resize) + STA,
+///                    with each mapped node's synthesized counterpart
+///   power_sample()   one simulated trajectory of the synthesized network,
+///                    kept as per-step one and toggle counts (sim.hpp)
+///   measure(mode)    simulated power on the mapped netlist, replayed from
+///                    the sample through the counterparts
 ///   report(mode)     the composed FlowReport (same fields as run_flow)
 ///
 /// Later stages pull earlier ones on demand, so `assign(kMinArea)` followed by
@@ -28,7 +32,10 @@
 /// `set_options` re-points the session at new `FlowOptions` and invalidates
 /// exactly the stages whose inputs changed (e.g. a new `clock_period` keeps
 /// the phase assignments and only re-runs mapping + measurement; a new
-/// `pi_prob` drops everything downstream of the probabilities).
+/// `pi_prob` drops everything downstream of the probabilities).  The sample
+/// depends only on `pi_prob` and the simulation's seed, steps and warmup, so
+/// clock, model, mapping and search-seed changes re-measure from the same
+/// sample.
 ///
 /// Sessions are single-threaded objects: stage building is not internally
 /// synchronized.  Thread parallelism lives *inside* the searches
@@ -79,6 +86,10 @@ class FlowSession {
   struct MapStage {
     PhaseMode mode = PhaseMode::kMinPower;
     MappedNetlist netlist;  ///< post-resize when clock_period > 0
+    /// Per mapped node: its counterpart in synthesized() (flow.hpp,
+    /// mapped_counterparts).  measure() replays the power sample through it
+    /// when every node has one, and simulates the netlist otherwise.
+    std::vector<Counterpart> provenance;
     bool equivalence_ok = true;
     bool timing_met = true;
     std::size_t resize_moves = 0;
@@ -103,7 +114,8 @@ class FlowSession {
     std::size_t context_builds = 0;
     std::size_t assign_searches = 0;
     std::size_t map_runs = 0;
-    std::size_t measure_runs = 0;
+    std::size_t measure_runs = 0;  ///< realizations measured, replayed or simulated
+    std::size_t sample_builds = 0;
   };
 
   /// The input network is copied; it is normalized lazily on first use (via
@@ -137,6 +149,8 @@ class FlowSession {
 
   [[nodiscard]] const AssignStage& assign(PhaseMode mode);
   [[nodiscard]] const MapStage& map(PhaseMode mode);
+  /// The power sample every measure() of this session replays.
+  [[nodiscard]] const PowerSample& power_sample();
   [[nodiscard]] const MeasureStage& measure(PhaseMode mode);
 
   /// Composes assign/map/measure into the classic FlowReport.  Cached stages
@@ -164,6 +178,7 @@ class FlowSession {
   void invalidate_assignments();
   void invalidate_maps();
   void invalidate_measures();
+  void invalidate_sample();
 
   std::string circuit_;
   /// Raw input, held only until the synth stage consumes it (the synth stage
@@ -179,6 +194,7 @@ class FlowSession {
   std::optional<ConeOverlap> overlap_;
   std::optional<AssignStage> assign_[kNumModes];
   std::optional<MapStage> map_[kNumModes];
+  std::optional<PowerSample> sample_;
   std::optional<MeasureStage> measure_[kNumModes];
 };
 

@@ -212,6 +212,7 @@ MapResult map_network(const Network& domino_net, const CellLibrary& library,
   mapped.cell_of.resize(out.num_nodes(), nullptr);
   origin.resize(out.num_nodes(), kNullNode);
   result.origin_of = std::move(origin);
+  result.image_of = std::move(to_new);
   out.validate();
   return result;
 }

@@ -49,6 +49,11 @@ class MappedNetlist {
 struct MapResult {
   MappedNetlist netlist;
   std::vector<NodeId> origin_of;  ///< per mapped node: originating node id
+  /// Per input node: the mapped node computing its function; kNullNode when
+  /// it was absorbed into a wider cell.  A mapped node `n` computes its
+  /// origin's function iff image_of[origin_of[n]] == n; the other cells of a
+  /// tree wider than the library's widest cell compute only part of it.
+  std::vector<NodeId> image_of;
 };
 
 [[nodiscard]] MapResult map_network(const Network& domino_net,

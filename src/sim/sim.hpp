@@ -10,6 +10,9 @@
 ///    appropriate signal probabilities").  Domino gates burn energy per
 ///    discharge (Property 2.1 makes zero-delay counting exact); boundary
 ///    static inverters burn per value change; optional per-gate clock load.
+///  * PowerSample / replay_domino_power — the same measurement for a whole
+///    family of realizations of one network, from one sampled trajectory of
+///    that network read through each realization's node counterparts.
 ///  * EventSim / measure_static_glitching — single-pattern event-driven
 ///    simulation with per-gate delays for *static* CMOS realizations; counts
 ///    real transitions including glitches (the effect domino logic is immune
@@ -36,10 +39,10 @@ class VectorGenerator {
   /// Next word for every PI (words[i] belongs to PI i).
   void next(std::vector<std::uint64_t>& words);
 
-  [[nodiscard]] std::size_t num_inputs() const noexcept { return probs_.size(); }
+  [[nodiscard]] std::size_t num_inputs() const noexcept { return programs_.size(); }
 
  private:
-  std::vector<double> probs_;
+  std::vector<BiasedBits> programs_;  ///< per PI, derived once
   Rng rng_;
 };
 
@@ -66,6 +69,78 @@ struct SimPowerResult {
 [[nodiscard]] SimPowerResult simulate_domino_power(const Network& net,
                                                    std::span<const double> pi_probs,
                                                    const SimPowerOptions& options = {});
+
+// ---- sampled trajectories ----------------------------------------------------
+
+/// A node's counterpart in a reference network: the node whose value it
+/// equals on every input vector and latch state, or its complement when
+/// `negated`.  `node == kNullNode`: the node has none.
+struct Counterpart {
+  NodeId node = kNullNode;
+  bool negated = false;
+};
+
+/// One sampled trajectory of a network, kept as counts: for each accounted
+/// step, the one count (0..64) of every AND/OR node and the toggle count of
+/// every source since the previous step.  The trajectory is the one
+/// simulate_domino_power drives (same VectorGenerator stream, same latch
+/// lanes), so on any realization whose nodes all equal ± a node of this
+/// network — a phase-assigned domino realization of it and that
+/// realization's technology mapping — simulate_domino_power counts exactly
+/// these numbers.  replay_domino_power rebuilds such a realization's energy
+/// from them without simulating it.  Memory: (steps − warmup) bytes per
+/// AND/OR node and per source.
+class PowerSample {
+ public:
+  static constexpr std::uint32_t kNoColumn = ~std::uint32_t{0};
+
+  /// Simulates `net` for options.steps steps from options.seed; the model
+  /// and node_caps are not read.
+  PowerSample(const Network& net, std::span<const double> pi_probs,
+              const SimPowerOptions& options);
+
+  [[nodiscard]] std::size_t steps() const noexcept { return steps_; }
+  [[nodiscard]] std::size_t warmup() const noexcept { return warmup_; }
+  [[nodiscard]] std::uint64_t seed() const noexcept { return seed_; }
+  [[nodiscard]] std::size_t num_pis() const noexcept { return num_pis_; }
+  [[nodiscard]] std::size_t num_nodes() const noexcept { return ones_column_.size(); }
+  /// Bytes of counts held.
+  [[nodiscard]] std::size_t bytes() const noexcept { return ones_.size() + toggles_.size(); }
+
+  /// Column of an AND/OR node in ones_row, of a source in toggle_row;
+  /// kNoColumn for any other node.
+  [[nodiscard]] std::uint32_t ones_column(NodeId id) const { return ones_column_.at(id); }
+  [[nodiscard]] std::uint32_t toggle_column(NodeId id) const { return toggle_column_.at(id); }
+  /// Counts of accounted step `row` (0 = the first step after warmup).
+  /// Toggles are 0 on the very first simulated step.
+  [[nodiscard]] const std::uint8_t* ones_row(std::size_t row) const noexcept {
+    return ones_.data() + row * num_gates_;
+  }
+  [[nodiscard]] const std::uint8_t* toggle_row(std::size_t row) const noexcept {
+    return toggles_.data() + row * num_sources_;
+  }
+
+ private:
+  std::size_t steps_, warmup_;
+  std::uint64_t seed_;
+  std::size_t num_pis_;
+  std::size_t num_gates_ = 0, num_sources_ = 0;
+  std::vector<std::uint32_t> ones_column_, toggle_column_;  ///< per NodeId
+  std::vector<std::uint8_t> ones_;     ///< [row][AND/OR column]
+  std::vector<std::uint8_t> toggles_;  ///< [row][source column]
+};
+
+/// simulate_domino_power(net, ...).per_cycle, bit for bit, computed from
+/// `sample` instead of simulating `net`.  `counterparts[id]` names each
+/// node's counterpart in the sampled network; every domino gate and output
+/// inverter fanin must have an AND/OR counterpart and every input inverter
+/// fanin a source counterpart, and options.steps, warmup and seed must be
+/// the sample's (std::invalid_argument otherwise).  Each sum adds the same
+/// terms in the same order as the simulator: steps outer, then ascending id.
+[[nodiscard]] PowerBreakdown replay_domino_power(const PowerSample& sample,
+                                                 const Network& net,
+                                                 std::span<const Counterpart> counterparts,
+                                                 const SimPowerOptions& options);
 
 // ---- event-driven static simulation -----------------------------------------
 

@@ -82,7 +82,8 @@ class Rng {
 
   /// 64 independent Bernoulli(p) bits packed into one word.  This is the
   /// workhorse of the statistical vector generator: each bit position is an
-  /// independent sample, enabling 64-way parallel logic simulation.
+  /// independent sample, enabling 64-way parallel logic simulation.  Streams
+  /// of words at one probability should hold a BiasedBits program instead.
   [[nodiscard]] std::uint64_t biased_bits(double p) noexcept;
 
  private:
@@ -91,6 +92,36 @@ class Rng {
   }
 
   std::uint64_t state_[4] = {};
+};
+
+/// The digit program of `Rng::biased_bits(p)`: the leading 16 binary digits
+/// of p = 0.b1 b2 ... bn, derived once.  `next(rng)` makes the same draws and
+/// returns the same word as `rng.biased_bits(p)`, so a generator drawing
+/// many words at one probability skips re-deriving its digits per word.
+class BiasedBits {
+ public:
+  explicit BiasedBits(double p) noexcept;
+
+  [[nodiscard]] std::uint64_t next(Rng& rng) const noexcept {
+    // Classic biased-bit construction, digits consumed least-significant
+    // first.  If r currently has per-bit probability q, then with a fresh
+    // uniform word R:
+    //   digit 1:  r |= R  gives q' = 1/2 + q/2
+    //   digit 0:  r &= R  gives q' = q/2
+    // so after processing b_n..b_1 the probability is exactly 0.b1..bn.
+    std::uint64_t r = constant_;
+    for (int i = num_digits_ - 1; i >= 0; --i) {
+      const std::uint64_t rnd = rng.next();
+      const std::uint64_t digit = 0 - static_cast<std::uint64_t>((digits_ >> i) & 1U);
+      r = (r & rnd) | ((r | rnd) & digit);
+    }
+    return r;
+  }
+
+ private:
+  std::uint64_t constant_ = 0;  ///< the word when p <= 0 or p >= 1 (no digits)
+  std::uint32_t digits_ = 0;    ///< bit i = binary digit b(i+1)
+  int num_digits_ = 0;
 };
 
 }  // namespace dominosyn

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 
@@ -169,6 +170,119 @@ TEST(FlowSession, SetOptionsInvalidatesOnlyAffectedStages) {
   EXPECT_EQ(session.stats().context_builds, 3u);
   EXPECT_EQ(session.stats().assign_searches, 3u);
 }
+
+TEST(FlowSession, PowerSampleRebuildsOnlyOnItsOwnInputs) {
+  const Network net = generate_benchmark(session_spec(15, /*pos=*/12));
+  FlowOptions options = fast_options();
+  FlowSession session(net, options);
+  (void)session.report(PhaseMode::kMinArea);
+  (void)session.report(PhaseMode::kMinPower);
+  EXPECT_EQ(session.stats().sample_builds, 1u);
+  EXPECT_EQ(session.stats().measure_runs, 2u);
+
+  // Clock, model, mapping and search seed re-measure from the same sample.
+  const auto expect_kept = [&](const char* what) {
+    session.set_options(options);
+    (void)session.report(PhaseMode::kMinPower);
+    EXPECT_EQ(session.stats().sample_builds, 1u) << what;
+  };
+  options.clock_period = 0.9 * session.report(PhaseMode::kMinArea).critical_delay;
+  expect_kept("clock");
+  options.model.load_aware = false;
+  expect_kept("model");
+  options.map_options.max_or_arity = 6;
+  expect_kept("map options");
+  options.minarea.seed += 1;
+  options.minpower.seed += 1;
+  expect_kept("search seed");
+  EXPECT_EQ(session.stats().measure_runs, 6u);
+
+  // pi_prob and the simulation's seed, steps and warmup each rebuild it.
+  std::size_t builds = 1;
+  const auto expect_rebuilt = [&](const char* what) {
+    session.set_options(options);
+    (void)session.report(PhaseMode::kMinPower);
+    EXPECT_EQ(session.stats().sample_builds, ++builds) << what;
+  };
+  options.pi_prob = 0.7;
+  expect_rebuilt("pi_prob");
+  options.sim.seed += 1;
+  expect_rebuilt("sim.seed");
+  options.sim.steps += 8;
+  expect_rebuilt("sim.steps");
+  options.sim.warmup += 1;
+  expect_rebuilt("sim.warmup");
+}
+
+/// measure() against the oracle: simulate_domino_power on the mapped netlist.
+void expect_measure_matches_oracle(FlowSession& session, PhaseMode mode,
+                                   const std::string& what) {
+  const FlowSession::MeasureStage& measured = session.measure(mode);
+  const FlowOptions& options = session.options();
+  const MappedNetlist& netlist = session.map(mode).netlist;
+  SimPowerOptions sim = options.sim;
+  sim.node_caps = netlist.node_loads(options.wire_cap);
+  const std::vector<double> pi_probs(netlist.net.num_pis(), options.pi_prob);
+  PowerBreakdown oracle = simulate_domino_power(netlist.net, pi_probs, sim).per_cycle;
+  if (options.count_clock_load) oracle.clock_load += netlist.clock_load();
+  EXPECT_EQ(measured.breakdown.domino_block, oracle.domino_block) << what;
+  EXPECT_EQ(measured.breakdown.input_inverters, oracle.input_inverters) << what;
+  EXPECT_EQ(measured.breakdown.output_inverters, oracle.output_inverters) << what;
+  EXPECT_EQ(measured.breakdown.clock_load, oracle.clock_load) << what;
+}
+
+TEST(FlowSession, ReplayedMeasureEqualsSimulationOracle) {
+  for (const BenchSpec& spec : paper_suite()) {
+    const Network net = generate_benchmark(spec);
+    FlowOptions options = fast_options();
+    FlowSession session(net, options);
+    expect_measure_matches_oracle(session, PhaseMode::kMinArea, spec.name + " MA");
+    expect_measure_matches_oracle(session, PhaseMode::kMinPower, spec.name + " MP");
+    options.clock_period = 1.05 * session.map(PhaseMode::kMinArea).critical_delay;
+    session.set_options(options);
+    expect_measure_matches_oracle(session, PhaseMode::kMinPower, spec.name + " MP timed");
+    EXPECT_EQ(session.stats().sample_builds, 1u) << spec.name;
+  }
+  // A random sequential circuit: latch lanes carry state across steps.
+  const Network seq = generate_benchmark(session_spec(16, /*pos=*/8, /*latches=*/5));
+  FlowSession session(seq, fast_options());
+  expect_measure_matches_oracle(session, PhaseMode::kMinPower, "sequential");
+}
+
+TEST(FlowSession, ChunkedTreesAreSimulatedDirectly) {
+  // DAND cells stop at 4 inputs: a 6-wide AND tree maps to chunk cells that
+  // compute only part of it and have no synthesized counterpart.
+  const Network net = generate_benchmark(session_spec(17, /*pos=*/12));
+  FlowOptions options = fast_options();
+  options.map_options.max_and_arity = 6;
+  FlowSession session(net, options);
+  const FlowSession::MapStage& mapped = session.map(PhaseMode::kMinPower);
+  EXPECT_TRUE(std::ranges::any_of(mapped.provenance, [](const Counterpart& c) {
+    return c.node == kNullNode;
+  }));
+  EXPECT_TRUE(mapped.equivalence_ok);
+  expect_measure_matches_oracle(session, PhaseMode::kMinPower, "chunked");
+  EXPECT_EQ(session.stats().sample_builds, 0u);
+}
+
+TEST(Equivalence, WrongCounterpartFailsTheMappedCheck) {
+  const Network net = generate_benchmark(session_spec(18, /*pos=*/12));
+  FlowSession session(net, fast_options());
+  const FlowSession::MapStage& mapped = session.map(PhaseMode::kMinPower);
+  const Network& synth = session.synthesized();
+  ASSERT_TRUE(mapped.equivalence_ok);
+  ASSERT_TRUE(random_equivalent(synth, mapped.netlist.net, mapped.provenance));
+
+  // Flip the polarity of one domino gate's counterpart.
+  std::vector<Counterpart> wrong = mapped.provenance;
+  NodeId gate = 0;
+  while (mapped.netlist.net.kind(gate) != NodeKind::kAnd &&
+         mapped.netlist.net.kind(gate) != NodeKind::kOr)
+    ++gate;
+  wrong[gate].negated = !wrong[gate].negated;
+  EXPECT_FALSE(random_equivalent(synth, mapped.netlist.net, wrong));
+}
+
 
 TEST(FlowBatch, IdenticalReportsForEveryThreadCount) {
   const std::vector<BenchSpec> specs = {session_spec(21), session_spec(22, 8),
@@ -581,6 +695,32 @@ TEST(GoldenPins, MinPowerSearchOnWideCircuit) {
             "-++-");
   // The flow's own MP stage runs the same search.
   EXPECT_EQ(session.assign(PhaseMode::kMinPower).assignment, mp.assignment);
+}
+
+TEST(GoldenPins, SessionMeasureOfMinPowerRealizations) {
+  // The same hexfloats as SimulatedPowerOfMinPowerRealizations, read from
+  // the session's own (replayed) measurement.
+  const struct {
+    const char* circuit;
+    double domino_block, input_inverters, output_inverters, clock_load;
+  } pins[] = {
+      {"apex7", 0x1.6f32c1a01abe2p+8, 0x1.48c7222222229p+7, 0x1.874b2cb2cb2cbp+1, 0x0p+0},
+      {"Industry 2", 0x1.120ce797f890cp+11, 0x1.3edf35a35a343p+9,
+       0x1.2cddf7df7df7ep+4, 0x0p+0},
+  };
+  for (const auto& pin : pins) {
+    const Network net = generate_benchmark(paper_spec(pin.circuit));
+    FlowSession session(net, table1_options());
+    const FlowReport report = session.report(PhaseMode::kMinPower);
+    EXPECT_EQ(report.sim_breakdown.domino_block, pin.domino_block) << pin.circuit;
+    EXPECT_EQ(report.sim_breakdown.input_inverters, pin.input_inverters) << pin.circuit;
+    EXPECT_EQ(report.sim_breakdown.output_inverters, pin.output_inverters) << pin.circuit;
+    // count_clock_load adds the mapped cells' clock pins.
+    EXPECT_EQ(report.sim_breakdown.clock_load,
+              pin.clock_load + session.map(PhaseMode::kMinPower).netlist.clock_load())
+        << pin.circuit;
+    EXPECT_EQ(session.stats().sample_builds, 1u) << pin.circuit;
+  }
 }
 
 }  // namespace

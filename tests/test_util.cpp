@@ -108,6 +108,48 @@ TEST(BiasedBits, BitsWithinWordAreIndependent) {
   EXPECT_NEAR(pab, pa * pb, 0.01);
 }
 
+/// The per-word digit derivation biased_bits used before BiasedBits
+/// programs existed, kept verbatim as the reference.
+std::uint64_t reference_biased_bits(Rng& rng, double p) {
+  if (p <= 0.0) return 0;
+  if (p >= 1.0) return ~0ULL;
+  unsigned digits[16];
+  int n = 0;
+  double rem = p;
+  while (n < 16) {
+    rem *= 2.0;
+    if (rem >= 1.0) {
+      digits[n++] = 1;
+      rem -= 1.0;
+    } else {
+      digits[n++] = 0;
+    }
+    if (rem == 0.0) break;
+  }
+  std::uint64_t r = 0;
+  for (int i = n - 1; i >= 0; --i) {
+    const std::uint64_t rnd = rng.next();
+    r = digits[i] != 0 ? (r | rnd) : (r & rnd);
+  }
+  return r;
+}
+
+TEST(BiasedBits, ProgramMakesTheSameDrawsAndWords) {
+  for (const double p : {0.0, 1.0, 0.5, 0.9, 1.0 / 3.0, 0x1p-17}) {
+    const BiasedBits program(p);
+    Rng by_program(5), by_call(5), by_reference(5);
+    for (int w = 0; w < 256; ++w) {
+      const std::uint64_t expected = reference_biased_bits(by_reference, p);
+      ASSERT_EQ(program.next(by_program), expected) << "p=" << p << " word " << w;
+      ASSERT_EQ(by_call.biased_bits(p), expected) << "p=" << p << " word " << w;
+    }
+    // Same number of draws: the streams stay in step.
+    const std::uint64_t after = by_reference.next();
+    EXPECT_EQ(by_program.next(), after) << "p=" << p;
+    EXPECT_EQ(by_call.next(), after) << "p=" << p;
+  }
+}
+
 TEST(Hash, Mix64IsInjectiveOnSmallRange) {
   std::set<std::uint64_t> seen;
   for (std::uint64_t i = 0; i < 10000; ++i) seen.insert(mix64(i));
