@@ -35,7 +35,9 @@
 /// any stage a cold submit waits on fails the nightly trend.  Industry 2's
 /// MP search is small (86 outputs), so assign_mp_wide_ms adds the MP stage
 /// of Industry 3 (199 outputs, 19,701 candidate pairs), where the §4.1
-/// pair scoring shows.
+/// pair scoring shows.  restage_measure_ms is the warm MP re-measure after a
+/// clock change (Table 2's restage), which replays the session's power
+/// sample instead of simulating.
 ///
 /// Usage (positional, CI-compatible):
 ///   micro_incremental [num_threads] [gate_target] [num_pos]
@@ -814,6 +816,7 @@ int main(int argc, char** argv) {
     double measure = std::numeric_limits<double>::infinity();
     double total = std::numeric_limits<double>::infinity();
     double assign_mp_wide = std::numeric_limits<double>::infinity();
+    double restage_measure = std::numeric_limits<double>::infinity();
   } flow_best;
   const Network flow_net = generate_benchmark(paper_spec("Industry 2"));
   FlowOptions flow_options;
@@ -843,6 +846,13 @@ int main(int argc, char** argv) {
       (void)session.measure(PhaseMode::kMinPower);
     });
     flow_best.total = std::min(flow_best.total, total_timer.seconds());
+    // Warm restage: a Table 2 clock re-maps MP (untimed) and re-measures it.
+    FlowOptions timed_options = flow_options;
+    timed_options.clock_period = 1.05 * session.map(PhaseMode::kMinArea).critical_delay;
+    session.set_options(timed_options);
+    (void)session.map(PhaseMode::kMinPower);
+    timed(flow_best.restage_measure, [&] { (void)session.measure(PhaseMode::kMinPower); });
+    session.set_options(flow_options);
     const std::pair<double, double> powers{
         session.measure(PhaseMode::kMinArea).total,
         session.measure(PhaseMode::kMinPower).total};
@@ -1067,6 +1077,7 @@ int main(int argc, char** argv) {
             << "    \"map_ms\": " << flow_best.map * 1e3 << ",\n"
             << "    \"measure_ms\": " << flow_best.measure * 1e3 << ",\n"
             << "    \"total_ms\": " << flow_best.total * 1e3 << ",\n"
+            << "    \"restage_measure_ms\": " << flow_best.restage_measure * 1e3 << ",\n"
             << "    \"wide_circuit\": \"Industry 3\",\n"
             << "    \"assign_mp_wide_ms\": " << flow_best.assign_mp_wide * 1e3
             << "\n"

@@ -18,6 +18,8 @@ Compares the current nightly run's JSON against the previous run's and fails
     the cold Table 1 flow of Industry 2, stage by stage)
   * flow_stages.assign_mp_wide_ms                           (lower better —
     the MP stage of Industry 3, whose 199 outputs make the pair scoring show)
+  * flow_stages.restage_measure_ms                          (lower better —
+    Industry 2's warm MP re-measure after a clock change)
 
 Wall-clock metrics on shared CI runners are noisy, so their tolerances are
 deliberately loose (a genuine asymptotic regression blows far past them).
@@ -127,7 +129,7 @@ def main() -> int:
     # Per-stage wall times of the cold flow a user waits on: a perf PR that
     # moves one stage must not let another creep back.
     for stage in ("probs", "assign_ma", "assign_mp", "map", "measure", "total",
-                  "assign_mp_wide"):
+                  "assign_mp_wide", "restage_measure"):
         metric = f"flow_stages.{stage}_ms"
         gate.check(metric, lookup(previous, metric), lookup(current, metric),
                    args.max_time_regression, higher_better=False)

@@ -9,14 +9,6 @@
 
 namespace dominosyn::obs {
 
-HistogramSnapshot& HistogramSnapshot::merge(
-    const HistogramSnapshot& other) noexcept {
-  count += other.count;
-  sum += other.sum;
-  for (std::size_t i = 0; i < kBuckets; ++i) buckets[i] += other.buckets[i];
-  return *this;
-}
-
 std::uint64_t HistogramSnapshot::quantile(double q) const noexcept {
   if (count == 0) return 0;
   if (q < 0.0) q = 0.0;
@@ -123,10 +115,6 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   return out;
 }
 
-std::string MetricsRegistry::prometheus() const {
-  return to_prometheus(snapshot());
-}
-
 namespace {
 
 /// Prometheus metric names allow [a-zA-Z_:][a-zA-Z0-9_:]*.
@@ -166,8 +154,7 @@ std::string render_double(double v) {
   return stream.str();
 }
 
-}  // namespace
-
+/// Renders a snapshot as Prometheus text.
 std::string to_prometheus(const MetricsSnapshot& snapshot) {
   std::string out;
   std::string previous_base;
@@ -243,6 +230,12 @@ std::string to_prometheus(const MetricsSnapshot& snapshot) {
     }
   }
   return out;
+}
+
+}  // namespace
+
+std::string MetricsRegistry::prometheus() const {
+  return to_prometheus(snapshot());
 }
 
 }  // namespace dominosyn::obs

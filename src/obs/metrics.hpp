@@ -7,9 +7,8 @@
 ///   * hot-path updates are single relaxed atomic RMWs — no locks, no
 ///     allocation, safe from any thread, and cheap enough for the §4.1
 ///     commit loop;
-///   * snapshots are mergeable and deterministic: a histogram snapshot is a
-///     plain bucket-count vector, and aggregating snapshots is element-wise
-///     addition and therefore order-independent;
+///   * snapshots are deterministic: a histogram snapshot is a plain
+///     bucket-count vector, so recording order never changes it;
 ///   * quantiles are *exact over the bucketing*: `Histogram::quantile(q)`
 ///     returns the lower bound of the bucket holding the rank-⌈q·count⌉
 ///     sample, so the same snapshot always yields the same p50/p95/p99 and a
@@ -89,7 +88,7 @@ class DoubleSum {
   std::atomic<double> value_{0.0};
 };
 
-/// One histogram's mergeable state: plain integers, element-wise addable.
+/// One histogram's state: plain integers.
 struct HistogramSnapshot {
   static constexpr std::size_t kBuckets = 64;
 
@@ -99,7 +98,6 @@ struct HistogramSnapshot {
 
   /// Element-wise addition — associative and commutative, so aggregating
   /// snapshots is order-independent.
-  HistogramSnapshot& merge(const HistogramSnapshot& other) noexcept;
 
   /// Lower bound of the bucket holding the rank-⌈q·count⌉ sample (rank
   /// clamped to [1, count]); 0 when the histogram is empty.  q in [0, 1].
@@ -191,10 +189,5 @@ class MetricsRegistry {
   mutable std::mutex mutex_;
   std::map<std::string, std::unique_ptr<Slot>> slots_;
 };
-
-/// Renders an already-taken snapshot as Prometheus text (the registry's
-/// prometheus() is snapshot() + this; exposed so merged snapshots can render
-/// the same way).
-[[nodiscard]] std::string to_prometheus(const MetricsSnapshot& snapshot);
 
 }  // namespace dominosyn::obs

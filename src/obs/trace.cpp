@@ -164,16 +164,6 @@ TraceSpan::~TraceSpan() {
       .fetch_add(1, std::memory_order_relaxed);
 }
 
-std::uint64_t thread_mark() noexcept {
-  ThreadRing& ring = thread_ring();
-  const std::lock_guard<std::mutex> lock(ring.mutex);
-  return ring.pushed;
-}
-
-std::vector<TraceEvent> thread_events_since(std::uint64_t mark) {
-  return thread_ring().since(mark);
-}
-
 std::string chrome_trace_json() {
   Collector& collector = Collector::instance();
 

@@ -95,12 +95,6 @@ class TraceSpan {
   bool active_;
 };
 
-/// Marks the calling thread's ring position; thread_events_since(mark)
-/// returns the events this thread recorded after the mark (oldest may be
-/// lost if more than kRingCapacity spans landed in between).
-[[nodiscard]] std::uint64_t thread_mark() noexcept;
-[[nodiscard]] std::vector<TraceEvent> thread_events_since(std::uint64_t mark);
-
 /// Everything currently buffered (all thread rings) as a Chrome trace_event
 /// JSON document (`{"traceEvents":[...]}`), newest
 /// events kept when the document would exceed ~900 KiB — the protocol ships
@@ -139,11 +133,6 @@ class TraceSpan {
   TraceSpan& operator=(const TraceSpan&) = delete;
 };
 
-[[nodiscard]] inline std::uint64_t thread_mark() noexcept { return 0; }
-[[nodiscard]] inline std::vector<TraceEvent> thread_events_since(
-    std::uint64_t) {
-  return {};
-}
 [[nodiscard]] inline std::string chrome_trace_json() {
   return "{\"traceEvents\":[]}";
 }
