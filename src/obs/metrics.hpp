@@ -96,9 +96,6 @@ struct HistogramSnapshot {
   std::uint64_t sum = 0;    ///< sum of recorded values
   std::array<std::uint64_t, kBuckets> buckets{};
 
-  /// Element-wise addition — associative and commutative, so aggregating
-  /// snapshots is order-independent.
-
   /// Lower bound of the bucket holding the rank-⌈q·count⌉ sample (rank
   /// clamped to [1, count]); 0 when the histogram is empty.  q in [0, 1].
   [[nodiscard]] std::uint64_t quantile(double q) const noexcept;

@@ -104,8 +104,6 @@ class PowerSample {
   [[nodiscard]] std::uint64_t seed() const noexcept { return seed_; }
   [[nodiscard]] std::size_t num_pis() const noexcept { return num_pis_; }
   [[nodiscard]] std::size_t num_nodes() const noexcept { return ones_column_.size(); }
-  /// Bytes of counts held.
-  [[nodiscard]] std::size_t bytes() const noexcept { return ones_.size() + toggles_.size(); }
 
   /// Column of an AND/OR node in ones_row, of a source in toggle_row;
   /// kNoColumn for any other node.

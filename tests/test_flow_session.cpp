@@ -137,22 +137,26 @@ TEST(FlowSession, SetOptionsInvalidatesOnlyAffectedStages) {
   FlowOptions options = fast_options();
   FlowSession session(net, options);
   (void)session.report(PhaseMode::kMinPower);
+  EXPECT_EQ(session.stats().sample_builds, 1u);
 
-  // Simulation settings: only the measurement re-runs.
+  // Simulation settings: only the measurement re-runs, from a new sample.
   options.sim.steps = 500;
   session.set_options(options);
   (void)session.report(PhaseMode::kMinPower);
   EXPECT_EQ(session.stats().assign_searches, 1u);
   EXPECT_EQ(session.stats().map_runs, 1u);
   EXPECT_EQ(session.stats().measure_runs, 2u);
+  EXPECT_EQ(session.stats().sample_builds, 2u);
 
-  // Power model: context + search + downstream, but not the probabilities.
+  // Power model: context + search + downstream, but not the probabilities
+  // and not the sample.
   options.model.load_aware = false;
   session.set_options(options);
   (void)session.report(PhaseMode::kMinPower);
   EXPECT_EQ(session.stats().prob_builds, 1u);
   EXPECT_EQ(session.stats().context_builds, 2u);
   EXPECT_EQ(session.stats().assign_searches, 2u);
+  EXPECT_EQ(session.stats().sample_builds, 2u);
 
   // PI probability: everything from the probabilities down.
   options.pi_prob = 0.7;
@@ -161,6 +165,7 @@ TEST(FlowSession, SetOptionsInvalidatesOnlyAffectedStages) {
   EXPECT_EQ(session.stats().synth_builds, 1u);
   EXPECT_EQ(session.stats().prob_builds, 2u);
   EXPECT_EQ(session.stats().context_builds, 3u);
+  EXPECT_EQ(session.stats().sample_builds, 3u);
 
   // Thread count: results are thread-count independent, so nothing is stale.
   options.num_threads = 4;
@@ -169,49 +174,33 @@ TEST(FlowSession, SetOptionsInvalidatesOnlyAffectedStages) {
   EXPECT_EQ(session.stats().prob_builds, 2u);
   EXPECT_EQ(session.stats().context_builds, 3u);
   EXPECT_EQ(session.stats().assign_searches, 3u);
-}
+  EXPECT_EQ(session.stats().sample_builds, 3u);
 
-TEST(FlowSession, PowerSampleRebuildsOnlyOnItsOwnInputs) {
-  const Network net = generate_benchmark(session_spec(15, /*pos=*/12));
-  FlowOptions options = fast_options();
-  FlowSession session(net, options);
-  (void)session.report(PhaseMode::kMinArea);
-  (void)session.report(PhaseMode::kMinPower);
-  EXPECT_EQ(session.stats().sample_builds, 1u);
-  EXPECT_EQ(session.stats().measure_runs, 2u);
-
-  // Clock, model, mapping and search seed re-measure from the same sample.
-  const auto expect_kept = [&](const char* what) {
+  // Clock, mapping and search seed re-measure from the same sample.
+  const std::size_t measures = session.stats().measure_runs;
+  const auto expect_sample_kept = [&](const char* what) {
     session.set_options(options);
     (void)session.report(PhaseMode::kMinPower);
-    EXPECT_EQ(session.stats().sample_builds, 1u) << what;
+    EXPECT_EQ(session.stats().sample_builds, 3u) << what;
   };
   options.clock_period = 0.9 * session.report(PhaseMode::kMinArea).critical_delay;
-  expect_kept("clock");
-  options.model.load_aware = false;
-  expect_kept("model");
+  expect_sample_kept("clock");
   options.map_options.max_or_arity = 6;
-  expect_kept("map options");
+  expect_sample_kept("map options");
   options.minarea.seed += 1;
   options.minpower.seed += 1;
-  expect_kept("search seed");
-  EXPECT_EQ(session.stats().measure_runs, 6u);
+  expect_sample_kept("search seed");
+  EXPECT_EQ(session.stats().measure_runs, measures + 4);
 
-  // pi_prob and the simulation's seed, steps and warmup each rebuild it.
-  std::size_t builds = 1;
-  const auto expect_rebuilt = [&](const char* what) {
-    session.set_options(options);
-    (void)session.report(PhaseMode::kMinPower);
-    EXPECT_EQ(session.stats().sample_builds, ++builds) << what;
-  };
-  options.pi_prob = 0.7;
-  expect_rebuilt("pi_prob");
+  // The simulation's seed and warmup rebuild it, as steps and pi_prob did.
   options.sim.seed += 1;
-  expect_rebuilt("sim.seed");
-  options.sim.steps += 8;
-  expect_rebuilt("sim.steps");
+  session.set_options(options);
+  (void)session.report(PhaseMode::kMinPower);
+  EXPECT_EQ(session.stats().sample_builds, 4u);
   options.sim.warmup += 1;
-  expect_rebuilt("sim.warmup");
+  session.set_options(options);
+  (void)session.report(PhaseMode::kMinPower);
+  EXPECT_EQ(session.stats().sample_builds, 5u);
 }
 
 /// measure() against the oracle: simulate_domino_power on the mapped netlist.
