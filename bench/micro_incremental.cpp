@@ -35,9 +35,10 @@
 /// any stage a cold submit waits on fails the nightly trend.  Industry 2's
 /// MP search is small (86 outputs), so assign_mp_wide_ms adds the MP stage
 /// of Industry 3 (199 outputs, 19,701 candidate pairs), where the §4.1
-/// pair scoring shows.  restage_measure_ms is the warm MP re-measure after a
-/// clock change (Table 2's restage), which replays the session's power
-/// sample instead of simulating.
+/// pair scoring shows, and assign_mp_wide_measured_trials the trials of
+/// that search that needed a measurement.  restage_measure_ms is the warm
+/// MP re-measure after a clock change (Table 2's restage), which replays the
+/// session's power sample instead of simulating.
 ///
 /// Usage (positional, CI-compatible):
 ///   micro_incremental [num_threads] [gate_target] [num_pos]
@@ -865,21 +866,27 @@ int main(int argc, char** argv) {
   // The wide MP stage: a fresh Industry 3 session per repetition, stages
   // before MP untimed (the cone-overlap table is built inside MP's first
   // call, as in a cold submit); every repetition must find the same answer.
+  // Its measured trials (lane reads; the rest are answered without a
+  // measurement) are a deterministic count, the same at any thread count.
   const Network wide_net = generate_benchmark(paper_spec("Industry 3"));
   std::optional<PhaseAssignment> wide_assignment;
+  std::size_t wide_measured_trials = 0;
   for (int rep = 0; rep < 3; ++rep) {
     FlowSession session(wide_net, flow_options);
-    (void)session.assign(PhaseMode::kMinArea);
+    const std::size_t seed_batched =
+        session.assign(PhaseMode::kMinArea).search_batched_trials;
     stopwatch.restart();
-    const PhaseAssignment& assignment =
-        session.assign(PhaseMode::kMinPower).assignment;
+    const FlowSession::AssignStage& mp = session.assign(PhaseMode::kMinPower);
     flow_best.assign_mp_wide =
         std::min(flow_best.assign_mp_wide, stopwatch.seconds());
-    if (wide_assignment && *wide_assignment != assignment) {
+    if (wide_assignment && (*wide_assignment != mp.assignment ||
+                            wide_measured_trials !=
+                                mp.search_batched_trials - seed_batched)) {
       std::cerr << "FATAL: wide MP repetitions found different answers\n";
       return 1;
     }
-    wide_assignment = assignment;
+    wide_assignment = mp.assignment;
+    wide_measured_trials = mp.search_batched_trials - seed_batched;
   }
 
   const unsigned resolved = ThreadPool::resolve_threads(num_threads);
@@ -1080,6 +1087,8 @@ int main(int argc, char** argv) {
             << "    \"restage_measure_ms\": " << flow_best.restage_measure * 1e3 << ",\n"
             << "    \"wide_circuit\": \"Industry 3\",\n"
             << "    \"assign_mp_wide_ms\": " << flow_best.assign_mp_wide * 1e3
+            << ",\n"
+            << "    \"assign_mp_wide_measured_trials\": " << wide_measured_trials
             << "\n"
             << "  }\n"
             << "}\n";

@@ -20,6 +20,10 @@ Compares the current nightly run's JSON against the previous run's and fails
     the MP stage of Industry 3, whose 199 outputs make the pair scoring show)
   * flow_stages.restage_measure_ms                          (lower better —
     Industry 2's warm MP re-measure after a clock change)
+  * flow_stages.assign_mp_wide_measured_trials              (must not rise —
+    the trials of that Industry 3 MP search that needed a measurement; a
+    deterministic count, gated exactly at factor 1.0, so a change that
+    brings back redundant measurements fails outside the wall-clock noise)
 
 Wall-clock metrics on shared CI runners are noisy, so their tolerances are
 deliberately loose (a genuine asymptotic regression blows far past them).
@@ -133,6 +137,12 @@ def main() -> int:
         metric = f"flow_stages.{stage}_ms"
         gate.check(metric, lookup(previous, metric), lookup(current, metric),
                    args.max_time_regression, higher_better=False)
+
+    # The wide MP search's measured trials are the same on every host and at
+    # every thread count: any rise is a real change, so no tolerance.
+    metric = "flow_stages.assign_mp_wide_measured_trials"
+    gate.check(metric, lookup(previous, metric), lookup(current, metric),
+               1.0, higher_better=False)
 
     # Tracing must stay within its absolute overhead budget.  The bench
     # already interleaves the arms and takes best-of-3, so the ratio is far

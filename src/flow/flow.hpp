@@ -126,7 +126,11 @@ struct FlowReport {
   /// of those walks.  Zero when the search ran its scalar paths
   /// (batch_lanes = 1).  Walks saved over one-trial-per-walk scalar
   /// evaluation = search_batched_trials - search_batch_walks; average lane
-  /// occupancy = search_batched_trials / search_batch_walks.
+  /// occupancy = search_batched_trials / search_batch_walks.  The §4.1
+  /// search answers trials whose rejection is already certain without a
+  /// measurement, so for a min-power report search_evaluations -
+  /// search_batched_trials is the number of trials answered that way (plus
+  /// the seeding min-area search's evaluations, which never batch).
   std::size_t search_batched_trials = 0;
   std::size_t search_batch_walks = 0;
   bool used_exact_bdd = true;

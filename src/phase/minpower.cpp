@@ -21,6 +21,23 @@
 /// invalidates it.  Trajectories — assignments, trials, commits, rescores —
 /// are bit-identical at every lane width (docs/eval_batch.md).
 ///
+/// Under kCostFunction, both drivers answer two kinds of trial without a
+/// measurement, because their rejection is already certain:
+///   * a trial that flips nothing measures the incumbent itself, which can
+///     never beat final_power by kImprovementEps;
+///   * a trial that flips one output whose single flip was already measured
+///     and rejected since the last commit meets the same base with the same
+///     flip, so its summation-tree root — and its rejection — would be
+///     bit-identical.
+/// K's coefficients (|Di| + O/2) are positive, so each output's chosen flip
+/// depends only on its own A_i, and these two kinds are most of the trials
+/// (77–92 % of the MA-seeded loop on Table 1's circuits wider than frg1).
+/// Every consumed candidate still counts in `trials`; with lanes,
+/// `trials - batched_trials` is the number answered without a measurement.
+/// The batched driver's window keeps `lanes` entries: known rejections take
+/// no lane, nor does a single flip an earlier entry of the window already
+/// measures, and a window with no lane runs no walk.
+///
 /// Commits are as cheap as trials: A_i depends only on output i's own phase
 /// (both values precomputed in EvalContext with the reference walk's
 /// summation order), so a commit refreshes the averages of just the flipped
@@ -33,6 +50,7 @@
 #include <bit>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <queue>
 #include <span>
 #include <stdexcept>
@@ -90,13 +108,15 @@ class LiveCandidateSet {
   std::vector<std::size_t> tree_;
 };
 
-/// One prefetched trial: a candidate pair with its flip combination, scored
-/// as one lane of a shared batch walk.
+/// One trial: a candidate pair with its flip combination — in the batched
+/// drivers, a prefetched window entry scored as one lane of a shared walk.
 struct WindowEntry {
   std::size_t pick = 0;
   bool flip_i = false;
   bool flip_j = false;
 };
+
+constexpr std::size_t kNoLane = std::numeric_limits<std::size_t>::max();
 
 }  // namespace
 
@@ -207,9 +227,34 @@ MinPowerResult min_power_assignment(const AssignmentEvaluator& evaluator,
     heap = decltype(heap)(std::greater<>{}, std::move(entries));  // O(C) make_heap
   }
 
-  Rng rng(options.seed);
-  LiveCandidateSet live(candidates.size());
+  // The ablation modes' pick state: kRandom draws from rng over the live
+  // set, kMeasureAll takes the live set's first index.  kCostFunction picks
+  // from the heap and reads neither.
+  const bool cost_guided = options.guidance == GuidanceMode::kCostFunction;
+  std::optional<LiveCandidateSet> live;
+  std::optional<Rng> rng;
+  if (!cost_guided) live.emplace(candidates.size());
+  if (options.guidance == GuidanceMode::kRandom) rng.emplace(options.seed);
   std::size_t remaining = candidates.size();
+
+  // Known rejections (kCostFunction): output o's single flip was measured
+  // and rejected at the current base iff single_rejected[o] == commit_id + 1,
+  // so a commit invalidates every stamp by advancing commit_id.
+  std::vector<std::uint32_t> single_rejected(num_pos, 0);
+  // The output a trial flips alone, or num_pos if it flips none or both.
+  const auto lone_flip = [&](const WindowEntry& e) {
+    if (e.flip_i == e.flip_j) return num_pos;
+    return e.flip_i ? candidates[e.pick].first : candidates[e.pick].second;
+  };
+  const auto rejection_known = [&](const WindowEntry& e) {
+    if (!e.flip_i && !e.flip_j) return true;  // re-measures the incumbent
+    const std::size_t output = lone_flip(e);
+    return output != num_pos && single_rejected[output] == commit_id + 1;
+  };
+  const auto note_rejection = [&](const WindowEntry& e) {
+    const std::size_t output = lone_flip(e);
+    if (output != num_pos) single_rejected[output] = commit_id + 1;
+  };
 
   // Commit bookkeeping shared by the scalar and batched drivers: refresh the
   // flipped outputs' averages and re-score the surviving pairs touching them.
@@ -288,6 +333,10 @@ MinPowerResult min_power_assignment(const AssignmentEvaluator& evaluator,
     switch (options.guidance) {
       case GuidanceMode::kCostFunction: {
         std::vector<WindowEntry> window;
+        // The window's trials that need a measurement, one per lane, and
+        // the lane each window entry reads (kNoLane: answered without one).
+        std::vector<WindowEntry> measured;
+        std::vector<std::size_t> lane_of;
         // Candidates currently prefetched (popped but unconsumed): distinct
         // from `consumed` — a prefetched candidate must not be popped twice,
         // but must still be rescored by a commit.
@@ -297,6 +346,8 @@ MinPowerResult min_power_assignment(const AssignmentEvaluator& evaluator,
           // exact (pair, combo) sequence the scalar loop would pop, the
           // averages (and therefore the combos) being stable between commits.
           window.clear();
+          measured.clear();
+          lane_of.clear();
           const std::size_t want = std::min(lanes, remaining);
           while (window.size() < want) {
             const auto [k, c] = heap.top();
@@ -306,19 +357,34 @@ MinPowerResult min_power_assignment(const AssignmentEvaluator& evaluator,
             const Scored scored =
                 score_pair(candidates[c].first, candidates[c].second);
             in_window[c] = 1;
-            window.push_back({c, scored.flip_i, scored.flip_j});
+            const WindowEntry entry{c, scored.flip_i, scored.flip_j};
+            window.push_back(entry);
+            // A known rejection takes no lane, nor does a single flip an
+            // earlier entry of this window measures: that entry commits,
+            // discarding this one, or its rejection answers this one.
+            const std::size_t output = lone_flip(entry);
+            const bool shared =
+                output != num_pos &&
+                std::any_of(measured.begin(), measured.end(),
+                            [&](const WindowEntry& m) { return lone_flip(m) == output; });
+            if (rejection_known(entry) || shared) {
+              lane_of.push_back(kNoLane);
+            } else {
+              lane_of.push_back(measured.size());
+              measured.push_back(entry);
+            }
           }
-          score_window(window);
+          if (!measured.empty()) score_window(measured);
 
           for (std::size_t t = 0; t < window.size(); ++t) {
             const WindowEntry& e = window[t];
             in_window[e.pick] = 0;
             ++result.trials;
-            ++result.batched_trials;
             consumed[e.pick] = true;
             --remaining;
-            live.erase(e.pick);
-            if (batch.power_total(t) < result.final_power - kImprovementEps) {
+            if (rejection_known(e)) continue;
+            ++result.batched_trials;
+            if (batch.power_total(lane_of[t]) < result.final_power - kImprovementEps) {
               const auto [i, j] = candidates[e.pick];
               if (e.flip_i) state.apply_flip(i);
               if (e.flip_j) state.apply_flip(j);
@@ -334,6 +400,7 @@ MinPowerResult min_power_assignment(const AssignmentEvaluator& evaluator,
               after_commit(i, e.flip_i, j, e.flip_j);
               break;  // discard the invalidated tail
             }
+            note_rejection(e);
           }
         }
         break;
@@ -349,12 +416,12 @@ MinPowerResult min_power_assignment(const AssignmentEvaluator& evaluator,
             // not re-drawn — when a commit moves the base.
             const std::size_t want = std::min(lanes, remaining);
             for (std::size_t t = 0; t < want; ++t) {
-              const std::size_t pick = live.nth(rng.below(remaining));
-              live.erase(pick);
+              const std::size_t pick = live->nth(rng->below(remaining));
+              live->erase(pick);
               --remaining;
               consumed[pick] = true;
-              const bool fi = rng.bernoulli(0.5);
-              const bool fj = rng.bernoulli(0.5);
+              const bool fi = rng->bernoulli(0.5);
+              const bool fj = rng->bernoulli(0.5);
               pending.push_back({pick, fi, fj});
             }
           }
@@ -381,7 +448,7 @@ MinPowerResult min_power_assignment(const AssignmentEvaluator& evaluator,
       }
       case GuidanceMode::kMeasureAll: {
         while (remaining > 0) {
-          const std::size_t pick = live.nth(0);
+          const std::size_t pick = live->nth(0);
           const auto [i, j] = candidates[pick];
           // All four (fi, fj) combos of the pair — combo bit 1 = flip i,
           // bit 0 = flip j.  A width-2 or width-3 batch scores them across
@@ -421,7 +488,7 @@ MinPowerResult min_power_assignment(const AssignmentEvaluator& evaluator,
           ++result.batched_trials;
           consumed[pick] = true;
           --remaining;
-          live.erase(pick);
+          live->erase(pick);
           if (best_power < result.final_power - kImprovementEps) {
             if (flip_i) state.apply_flip(i);
             if (flip_j) state.apply_flip(j);
@@ -455,14 +522,14 @@ MinPowerResult min_power_assignment(const AssignmentEvaluator& evaluator,
           break;
         }
         case GuidanceMode::kRandom: {
-          pick = live.nth(rng.below(remaining));
-          flip_i = rng.bernoulli(0.5);
-          flip_j = rng.bernoulli(0.5);
+          pick = live->nth(rng->below(remaining));
+          flip_i = rng->bernoulli(0.5);
+          flip_j = rng->bernoulli(0.5);
           break;
         }
         case GuidanceMode::kMeasureAll: {
           // Oracle baseline: take the first live pair, measure all four combos.
-          pick = live.nth(0);
+          pick = live->nth(0);
           double best_power = std::numeric_limits<double>::infinity();
           const auto [i, j] = candidates[pick];
           for (const bool fi : {false, true})
@@ -480,19 +547,22 @@ MinPowerResult min_power_assignment(const AssignmentEvaluator& evaluator,
       }
 
       const auto [i, j] = candidates[pick];
+      const WindowEntry trial{pick, flip_i, flip_j};
+      ++result.trials;
+      consumed[pick] = true;
+      --remaining;
+      if (live) live->erase(pick);
+      if (cost_guided && rejection_known(trial)) continue;
       unsigned applied = 0;
       if (flip_i) { state.apply_flip(i); ++applied; }
       if (flip_j) { state.apply_flip(j); ++applied; }
       const AssignmentCost trial_cost = state.cost();
-      ++result.trials;
-      consumed[pick] = true;
-      --remaining;
-      live.erase(pick);
       if (trial_cost.power.total() < result.final_power - kImprovementEps) {
         commit(trial_cost);
         after_commit(i, flip_i, j, flip_j);
       } else {
         while (applied-- > 0) state.undo();
+        if (cost_guided) note_rejection(trial);
       }
     }
   }

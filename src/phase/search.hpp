@@ -239,9 +239,13 @@ struct MinPowerResult {
   /// touch; the maintained per-phase averages make each refresh O(1).
   std::size_t commit_rescore_pairs = 0;
   std::size_t avg_update_nodes = 0;
-  /// Batched-evaluation telemetry (docs/eval_batch.md): trials scored
-  /// through EvalBatch lanes and the shared cone walks that scored them.
-  /// Zero on the scalar path (batch_lanes == 1).
+  /// Batched-evaluation telemetry (docs/eval_batch.md): trials measured
+  /// through EvalBatch lanes and the shared cone walks that measured them.
+  /// Under kCostFunction a trial whose rejection is already certain (no
+  /// flip, or a single flip rejected since the last commit) is answered
+  /// without a measurement, so with lanes `trials - batched_trials` is the
+  /// number of trials answered that way.  Zero on the scalar path
+  /// (batch_lanes == 1).
   std::size_t batched_trials = 0;
   std::size_t batch_walks = 0;
 };
